@@ -22,12 +22,10 @@ from .instance import (
 )
 from .island import (
     IslandConfig,
-    Topology,
-    build_topology,
+    build_channels,
     check_migrants,
     run_fleet,
-    run_memetic_island,
-    run_nsga2_island,
+    run_island,
 )
 from .localsearch import (
     LocalSearchParams,

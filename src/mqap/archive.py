@@ -65,17 +65,7 @@ class Archive:
 
 def archive_merge(archives: Sequence[Archive]) -> list[Solution]:
     """Union of archives filtered to the global non-dominated, de-duplicated set."""
-    merged: list[Solution] = []
-    seen: set[bytes] = set()
+    merged = Archive(capacity=max(1, sum(len(archive) for archive in archives)))
     for archive in archives:
-        for sol in archive.members:
-            key = sol.perm_key()
-            if key in seen:
-                continue
-            if any(dominates(other.objectives, sol.objectives) for other in merged):
-                continue
-            merged = [o for o in merged if not dominates(sol.objectives, o.objectives)]
-            seen = {o.perm_key() for o in merged}
-            merged.append(sol)
-            seen.add(key)
-    return merged
+        merged.insert(archive.members)
+    return merged.members

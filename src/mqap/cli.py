@@ -49,6 +49,10 @@ RUN_CONFIG_KEYS = {
 }
 
 
+class ConfigError(ValueError):
+    pass
+
+
 def parse_config_file(path) -> dict:
     """Line-oriented key=value options; '#' starts a comment."""
     options = {}
@@ -72,6 +76,9 @@ def parse_gen_spec(text: str) -> InstanceSpec:
     for part in text.split(","):
         key, _, value = part.partition("=")
         fields[key.strip()] = value.strip()
+    missing = [key for key in ("n", "m") if key not in fields]
+    if missing:
+        raise ValueError(f"generator spec {text!r} lacks {', '.join(missing)}")
     return InstanceSpec(
         n=int(fields["n"]),
         m=int(fields["m"]),
@@ -168,7 +175,10 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_run(args) -> int:
-    config = _experiment_config(args)
+    try:
+        config = _experiment_config(args)
+    except ValueError as exc:
+        raise ConfigError(f"invalid run configuration: {exc}") from exc
     result = run_experiment(config)
     print(
         f"instance {result.instance_name}: {len(result.trials)} trial(s), "
@@ -266,10 +276,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (
+        OSError,
+        ConfigError,
         InstanceFormatError,
         runner.InstanceLoadError,
         runner.InstanceMismatchError,
-        runner.OutputWriteError,
         runner.TooLargeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

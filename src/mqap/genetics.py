@@ -27,7 +27,7 @@ class VariationParams:
             raise ValueError("probabilities must lie in [0, 1]")
 
 
-def cycle_crossover(p1: np.ndarray, p2: np.ndarray, rng: Rng | None = None):
+def cycle_crossover(p1: np.ndarray, p2: np.ndarray):
     """Cycle crossover producing two children.
 
     Positions are partitioned into cycles (closed position loops traced by
@@ -63,13 +63,9 @@ def cycle_crossover(p1: np.ndarray, p2: np.ndarray, rng: Rng | None = None):
     return c1, c2
 
 
-def swap_mutation(perm: np.ndarray, pb_m: float, rng: Rng) -> np.ndarray:
-    """With probability pb_m exchange two distinct random positions."""
-    if rng.random() >= pb_m:
-        return perm
+def random_swap(perm: np.ndarray, rng: Rng) -> np.ndarray:
+    """Copy of ``perm`` with two distinct random positions exchanged."""
     n = len(perm)
-    if n < 2:
-        return perm
     i = rng.randrange(n)
     j = rng.randrange(n - 1)
     if j >= i:
@@ -77,6 +73,13 @@ def swap_mutation(perm: np.ndarray, pb_m: float, rng: Rng) -> np.ndarray:
     out = perm.copy()
     out[i], out[j] = out[j], out[i]
     return out
+
+
+def swap_mutation(perm: np.ndarray, pb_m: float, rng: Rng) -> np.ndarray:
+    """With probability pb_m exchange two distinct random positions."""
+    if rng.random() >= pb_m or len(perm) < 2:
+        return perm
+    return random_swap(perm, rng)
 
 
 def tournament_select(

@@ -1,4 +1,4 @@
-"""Island loops and the asynchronous migration fabric.
+"""The island generation loop and the asynchronous migration fabric.
 
 Each island is a sequential generation loop owning its population, archive
 and RNG.  Islands never share mutable state: migration goes through
@@ -19,7 +19,14 @@ import numpy as np
 
 from .archive import Archive, archive_merge
 from .evaluation import Solution, make_solution, random_solution
-from .genetics import Rng, VariationParams, cycle_crossover, swap_mutation, tournament_select
+from .genetics import (
+    Rng,
+    VariationParams,
+    cycle_crossover,
+    random_swap,
+    swap_mutation,
+    tournament_select,
+)
 from .instance import Instance
 from .localsearch import Clock, LocalSearchParams, dominance_based_local_search
 from .ranking import (
@@ -60,28 +67,6 @@ class IslandConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
-@dataclass(frozen=True)
-class Topology:
-    islands: tuple[int, ...]
-    edges: dict[int, tuple[int, ...]]
-
-    def neighbors(self, island_id: int) -> tuple[int, ...]:
-        return self.edges[island_id]
-
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.edges.values())
-
-
-def build_topology(kind: str, island_count: int) -> Topology:
-    if island_count < 1:
-        raise ValueError("need at least one island")
-    if kind != "complete":
-        raise ValueError(f"unknown topology {kind!r}")
-    ids = tuple(range(island_count))
-    edges = {i: tuple(j for j in ids if j != i) for i in ids}
-    return Topology(islands=ids, edges=edges)
-
-
 @dataclass
 class MigrantBatch:
     sender: int
@@ -120,16 +105,13 @@ class Outboxes:
         return len(solutions) * len(self.channels)
 
 
-def build_channels(topology: Topology) -> tuple[dict[int, Inbox], dict[int, Outboxes]]:
-    """One unbounded queue per directed edge, wrapped per island."""
-    inboxes = {
-        i: Inbox(i, tuple(s for s in topology.islands if i in topology.edges[s]))
-        for i in topology.islands
-    }
-    outboxes = {
-        i: Outboxes({j: inboxes[j].queues[i] for j in topology.edges[i]})
-        for i in topology.islands
-    }
+def build_channels(island_count: int) -> tuple[dict[int, Inbox], dict[int, Outboxes]]:
+    """One unbounded queue per directed edge of the complete graph, wrapped per island."""
+    if island_count < 1:
+        raise ValueError("need at least one island")
+    ids = range(island_count)
+    inboxes = {i: Inbox(i, tuple(s for s in ids if s != i)) for i in ids}
+    outboxes = {i: Outboxes({j: inboxes[j].queues[i] for j in ids if j != i}) for i in ids}
     return inboxes, outboxes
 
 
@@ -157,17 +139,6 @@ class IslandStats:
 class IslandResult:
     archive: Archive
     stats: IslandStats
-
-
-def _forced_swap(perm, rng: Rng):
-    n = len(perm)
-    i = rng.randrange(n)
-    j = rng.randrange(n - 1)
-    if j >= i:
-        j += 1
-    out = perm.copy()
-    out[i], out[j] = out[j], out[i]
-    return out
 
 
 def _make_offspring(
@@ -199,13 +170,13 @@ def _make_offspring(
                 population, config.tournament_k, compare_fitness_then_diversity, rng
             )
         if rng.random() < params.pb_c:
-            c1, c2 = cycle_crossover(p1.perm, p2.perm, rng)
+            c1, c2 = cycle_crossover(p1.perm, p2.perm)
         else:
             c1, c2 = p1.perm.copy(), p2.perm.copy()
         for child in (c1, c2):
             child = swap_mutation(child, params.pb_m, rng)
             if np.array_equal(child, p1.perm) or np.array_equal(child, p2.perm):
-                child = _forced_swap(child, rng)
+                child = random_swap(child, rng)
             key = child.tobytes()
             if key in seen and attempts < max_attempts:
                 continue
@@ -236,21 +207,23 @@ def _select_migrants(archive: Archive, config: IslandConfig, rng: Rng) -> list[S
     ]
 
 
-def run_memetic_island(
+def run_island(
     config: IslandConfig,
     instance: Instance,
     inbox: Inbox | None = None,
     outboxes: Outboxes | None = None,
     clock: Clock = time.monotonic,
 ) -> IslandResult:
-    """Memetic generation loop of one island.
+    """Generation loop of one island, memetic or NSGA-II.
 
-    Per generation: breed offspring into the archive, run the local search
-    over the archive plus the fresh offspring (so recombined solutions get
-    improved too) and take its working set as the new population, rank it,
-    drain migrants, update the archive with population and migrants, ship
-    tournament-selected migrants every ``epoch`` generations, then keep the
-    comparator-best ``population_size`` of population plus migrants.
+    Per generation: breed offspring into the archive, improve them into a
+    survival pool, drain migrants into the archive, ship tournament-selected
+    migrants every ``epoch`` generations, then keep the comparator-best
+    ``population_size`` of pool plus migrants and refill with random
+    solutions.  The algorithms differ only in the improvement step: the
+    memetic island runs the local search over the archive plus the
+    offspring and archives its working set as the pool; the NSGA-II island
+    pools population and offspring unchanged ((mu+lambda) survival).
     """
     rng = Rng(config.seed)
     stats = IslandStats(island_id=config.island_id)
@@ -267,58 +240,14 @@ def run_memetic_island(
             break
         offspring = _make_offspring(instance, population, config, rng)
         archive.insert(offspring)
-
-        population = dominance_based_local_search(
-            archive, config.ls_params, instance, rng, clock, extra=offspring
-        )
-        population = _distinct_permutations(population)
-        rank_and_crowd(population)
-
-        migrants = check_migrants(inbox)
-        stats.migrants_received += len(migrants)
-        archive.insert(population)
-        archive.insert(migrants)
-
-        if outboxes is not None and generation % config.epoch == 0:
-            selected = _select_migrants(archive, config, rng)
-            stats.migrants_sent += outboxes.send(config.island_id, selected, generation)
-            stats.send_events += 1
-
-        population = elitist_integration(population, migrants, config.population_size)
-        while len(population) < config.population_size:
-            fresh = random_solution(instance, rng)
-            archive.insert_one(fresh)
-            population.append(fresh)
-        stats.generations = generation
-        generation += 1
-
-    stats.wall_time = clock() - start
-    return IslandResult(archive=archive, stats=stats)
-
-
-def run_nsga2_island(
-    config: IslandConfig,
-    instance: Instance,
-    inbox: Inbox | None = None,
-    outboxes: Outboxes | None = None,
-    clock: Clock = time.monotonic,
-) -> IslandResult:
-    """Baseline island: same plumbing, no local search, (mu+lambda) survival."""
-    rng = Rng(config.seed)
-    stats = IslandStats(island_id=config.island_id)
-    start = clock()
-    archive = Archive(capacity=config.archive_capacity)
-
-    population = [random_solution(instance, rng) for _ in range(config.population_size)]
-    archive.insert(population)
-    rank_and_crowd(population)
-
-    generation = 1
-    while generation <= config.g_max:
-        if config.time_budget is not None and clock() - start >= config.time_budget:
-            break
-        offspring = _make_offspring(instance, population, config, rng)
-        archive.insert(offspring)
+        if config.algorithm == MEMETIC:
+            improved = dominance_based_local_search(
+                archive, config.ls_params, instance, rng, clock, extra=offspring
+            )
+            pool = _distinct_permutations(improved)
+            archive.insert(pool)
+        else:
+            pool = _distinct_permutations(population + offspring)
 
         migrants = check_migrants(inbox)
         stats.migrants_received += len(migrants)
@@ -329,7 +258,6 @@ def run_nsga2_island(
             stats.migrants_sent += outboxes.send(config.island_id, selected, generation)
             stats.send_events += 1
 
-        pool = _distinct_permutations(population + offspring)
         population = elitist_integration(pool, migrants, config.population_size)
         while len(population) < config.population_size:
             fresh = random_solution(instance, rng)
@@ -340,9 +268,6 @@ def run_nsga2_island(
 
     stats.wall_time = clock() - start
     return IslandResult(archive=archive, stats=stats)
-
-
-ISLAND_LOOPS = {MEMETIC: run_memetic_island, NSGA2: run_nsga2_island}
 
 
 @dataclass
@@ -366,21 +291,19 @@ def run_fleet(
     configs: list[IslandConfig],
     clock: Clock = time.monotonic,
 ) -> FleetResult:
-    """Run one fleet on the complete topology, join, and merge archives."""
+    """Run one fleet on the complete migration graph, join, and merge archives."""
     start = clock()
-    topology = build_topology("complete", len(configs))
-    if sorted(cfg.island_id for cfg in configs) != list(topology.islands):
-        raise ValueError("island ids must be 0..N-1 to match the topology")
-    inboxes, outboxes = build_channels(topology)
+    inboxes, outboxes = build_channels(len(configs))
+    if sorted(cfg.island_id for cfg in configs) != list(inboxes):
+        raise ValueError("island ids must be 0..N-1")
     results: list[IslandResult]
     if len(configs) == 1:
-        cfg = configs[0]
-        results = [ISLAND_LOOPS[cfg.algorithm](cfg, instance, None, None, clock)]
+        results = [run_island(configs[0], instance, None, None, clock)]
     else:
         with ThreadPoolExecutor(max_workers=thread_cap(len(configs))) as pool:
             futures = [
                 pool.submit(
-                    ISLAND_LOOPS[cfg.algorithm],
+                    run_island,
                     cfg,
                     instance,
                     inboxes[cfg.island_id],

@@ -11,6 +11,8 @@ import itertools
 import math
 from typing import Sequence
 
+from .ranking import dominates
+
 Point = tuple[float, ...]
 
 
@@ -59,15 +61,11 @@ def non_dominated(points: Sequence[Point]) -> list[Point]:
     """Minimization non-dominated filter keeping first occurrences."""
     kept: list[Point] = []
     for p in points:
-        if any(_dominates(q, p) or q == p for q in kept):
+        if any(dominates(q, p) or q == p for q in kept):
             continue
-        kept = [q for q in kept if not _dominates(p, q)]
+        kept = [q for q in kept if not dominates(p, q)]
         kept.append(p)
     return kept
-
-
-def _dominates(a: Point, b: Point) -> bool:
-    return all(x <= y for x, y in zip(a, b)) and a != b
 
 
 def hypervolume(front: Sequence[Point], ref: Point) -> float:

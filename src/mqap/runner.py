@@ -95,6 +95,7 @@ class ExperimentConfig:
             raise ValueError("either an instance path or a generator spec is required")
         if self.time_budget is not None and self.time_budget <= 0:
             self.time_budget = None
+        self.island_configs(0)  # ValueError on invalid island parameters
 
     def resolve_instance(self) -> Instance:
         if self.instance_path is not None:
@@ -184,6 +185,7 @@ def read_front_file(path) -> tuple[dict[str, str], list[tuple[tuple[int, ...], t
 
 def run_experiment(config: ExperimentConfig, clock=time.monotonic) -> RunResult:
     instance = config.resolve_instance()
+    fleets = [config.island_configs(index) for index in range(config.trials)]
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,7 +201,7 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic) -> RunResult:
     )
 
     def one_trial(index: int) -> TrialRecord:
-        fleet = run_fleet(instance, config.island_configs(index), clock)
+        fleet = run_fleet(instance, fleets[index], clock)
         name = f"trial_{index:04d}.front"
         write_front_file(
             out_dir / name,

@@ -27,12 +27,12 @@ from mqap import (
     make_solution,
     normalize_fronts,
     reference_point,
-    run_memetic_island,
+    run_island,
     wilcoxon_rank_sum,
 )
 from mqap.genetics import VariationParams
 from mqap.instance import InstanceSpec, generate_uniform
-from mqap.island import build_channels, build_topology, run_fleet
+from mqap.island import build_channels, run_fleet
 from mqap.localsearch import LocalSearchParams
 from mqap.metrics import non_dominated
 from mqap.runner import ExperimentConfig, enumerate_front, island_seed, run_experiment, trial_seed
@@ -147,7 +147,7 @@ def test_criterion_5_small_instance_optimality():
                 ls_params=LocalSearchParams(t_max=0.5),
                 seed=island_seed(trial_seed(100 + inst_seed, trial), 0),
             )
-            result = run_memetic_island(config, inst)
+            result = run_island(config, inst)
             mine = [tuple(float(v) for v in s.objectives) for s in result.archive.members]
             (norm_exact, norm_mine), _ = normalize_fronts([exact, mine])
             ref = reference_point(non_dominated(norm_exact + norm_mine))
@@ -246,19 +246,18 @@ def test_criterion_7_asynchrony_under_stall():
     baseline = run_fleet(inst, [config(i) for i in range(3)])
     baseline_wall = max(r.stats.wall_time for r in baseline.islands)
 
-    topology = build_topology("complete", 4)
-    inboxes, outboxes = build_channels(topology)
+    inboxes, outboxes = build_channels(4)
     results: dict[int, object] = {}
 
-    def run_island(island_id, stall):
+    def island_thread(island_id, stall):
         if stall:
             time.sleep(10.0)
-        results[island_id] = run_memetic_island(
+        results[island_id] = run_island(
             config(island_id), inst, inboxes[island_id], outboxes[island_id]
         )
 
     threads = [
-        threading.Thread(target=run_island, args=(i, i == 3), daemon=True) for i in range(4)
+        threading.Thread(target=island_thread, args=(i, i == 3), daemon=True) for i in range(4)
     ]
     for t in threads:
         t.start()

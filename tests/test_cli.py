@@ -221,6 +221,26 @@ def test_hv_command(tmp_path, capsys):
     assert printed == pytest.approx(3125.0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--gen-spec", "n=6,m=2", "--trials", 0],
+        ["run", "--gen-spec", "m=2"],
+        ["run", "--gen-spec", "n=1,m=2"],
+        ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500],
+        ["hv", "--front", "missing.front"],
+    ],
+    ids=["zero-trials", "spec-without-n", "spec-n1", "migrants-over-capacity", "missing-front"],
+)
+def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "run":
+        argv = argv + ["--out", "results"]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "results").exists()
+
+
 def test_compare_set_with_itself(tmp_path, capsys):
     inst_path = _gen_instance(tmp_path)
     out = tmp_path / "res"

@@ -7,12 +7,10 @@ import pytest
 from mqap import (
     IslandConfig,
     Rng,
-    build_topology,
     check_migrants,
     dominates,
     run_fleet,
-    run_memetic_island,
-    run_nsga2_island,
+    run_island,
 )
 from mqap.evaluation import random_solution
 from mqap.genetics import VariationParams
@@ -44,23 +42,11 @@ def _instance(n=10, m=2, seed=1):
     return generate_uniform(InstanceSpec(n=n, m=m, correlation=0.0, seed=seed))
 
 
-def test_topology_complete_edge_counts():
-    assert build_topology("complete", 5).edge_count() == 20
-    assert build_topology("complete", 1).edge_count() == 0
-    topo = build_topology("complete", 11)
-    assert all(len(topo.neighbors(i)) == 10 for i in topo.islands)
-    assert all(i not in topo.neighbors(i) for i in topo.islands)
-
-
-def test_topology_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        build_topology("ring", 3)
-
-
-def test_zero_generations_archives_non_dominated_initials():
+@pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
+def test_zero_generations_archives_non_dominated_initials(algorithm):
     inst = _instance()
-    config = _config(g_max=0)
-    result = run_memetic_island(config, inst)
+    config = _config(g_max=0, algorithm=algorithm)
+    result = run_island(config, inst)
     rng = Rng(config.seed)
     initial = [random_solution(inst, rng) for _ in range(config.population_size)]
     expected = brute_force_non_dominated([s.objectives for s in initial])
@@ -69,7 +55,7 @@ def test_zero_generations_archives_non_dominated_initials():
 
 
 def test_memetic_archive_mutually_non_dominated():
-    result = run_memetic_island(_config(), _instance())
+    result = run_island(_config(), _instance())
     members = result.archive.members
     assert members
     for a in members:
@@ -77,19 +63,19 @@ def test_memetic_archive_mutually_non_dominated():
 
 
 def test_nsga2_archive_mutually_non_dominated():
-    result = run_nsga2_island(_config(algorithm="nsga2"), _instance())
+    result = run_island(_config(algorithm="nsga2"), _instance())
     members = result.archive.members
     assert members
     for a in members:
         assert not any(dominates(b.objectives, a.objectives) for b in members if b is not a)
 
 
-def test_send_event_count_matches_epoch():
+@pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
+def test_send_event_count_matches_epoch(algorithm):
     # Wired outboxes but a sequential run: exactly floor(g_max/epoch) sends.
-    topo = build_topology("complete", 2)
-    inboxes, outboxes = build_channels(topo)
-    result = run_nsga2_island(
-        _config(algorithm="nsga2", g_max=12, epoch=5),
+    inboxes, outboxes = build_channels(2)
+    result = run_island(
+        _config(algorithm=algorithm, g_max=12, epoch=5),
         _instance(),
         inboxes[0],
         outboxes[0],
@@ -100,13 +86,12 @@ def test_send_event_count_matches_epoch():
 
 def test_migration_roundtrip_sequential():
     inst = _instance()
-    topo = build_topology("complete", 2)
-    inboxes, outboxes = build_channels(topo)
-    sender = run_memetic_island(
+    inboxes, outboxes = build_channels(2)
+    sender = run_island(
         _config(island_id=0, epoch=1, g_max=4), inst, inboxes[0], outboxes[0]
     )
     assert sender.stats.send_events == 4
-    receiver = run_memetic_island(
+    receiver = run_island(
         _config(island_id=1, seed=4, epoch=1, g_max=4), inst, inboxes[1], outboxes[1]
     )
     assert receiver.stats.migrants_received >= sender.stats.migrants_sent / 1
@@ -115,8 +100,7 @@ def test_migration_roundtrip_sequential():
 
 
 def test_check_migrants_drains_everything():
-    topo = build_topology("complete", 2)
-    inboxes, _ = build_channels(topo)
+    inboxes, _ = build_channels(2)
     assert check_migrants(inboxes[0]) == []
     inst = _instance(n=6)
     rng = Rng(0)
@@ -128,8 +112,7 @@ def test_check_migrants_drains_everything():
 
 
 def test_check_migrants_concurrent_with_sends():
-    topo = build_topology("complete", 2)
-    inboxes, _ = build_channels(topo)
+    inboxes, _ = build_channels(2)
     inst = _instance(n=6)
     box = Outboxes({0: inboxes[0].queues[1]})
     total = 400
@@ -152,8 +135,7 @@ def test_check_migrants_concurrent_with_sends():
 
 def test_migrants_are_deep_copies():
     inst = _instance(n=6)
-    topo = build_topology("complete", 2)
-    inboxes, outboxes = build_channels(topo)
+    inboxes, outboxes = build_channels(2)
     original = random_solution(inst, Rng(7))
     sent_objectives = original.objectives
     outboxes[0].send(0, [original], generation=1)
@@ -193,8 +175,8 @@ def test_fleet_rejects_bad_island_ids():
 def test_single_island_determinism_in_memory():
     inst = _instance(n=9)
     config = _config(g_max=6, ls_params=LocalSearchParams(t_max=5.0))
-    a = run_memetic_island(config, inst)
-    b = run_memetic_island(config, inst)
+    a = run_island(config, inst)
+    b = run_island(config, inst)
     key = lambda r: sorted((s.objectives, tuple(s.perm.tolist())) for s in r.archive.members)  # noqa: E731
     assert key(a) == key(b)
 
@@ -202,14 +184,14 @@ def test_single_island_determinism_in_memory():
 def test_population_size_restored_every_generation():
     # Indirect check: a run long enough to exercise truncation both ways
     # still produces a healthy archive and completes all generations.
-    result = run_memetic_island(_config(g_max=8, population_size=6), _instance(n=8))
+    result = run_island(_config(g_max=8, population_size=6), _instance(n=8))
     assert result.stats.generations == 8
 
 
 def test_time_budget_halts_early():
     config = _config(g_max=10_000, time_budget=0.3, ls_params=LocalSearchParams(t_max=0.01))
     start = time.monotonic()
-    result = run_memetic_island(config, _instance(n=12))
+    result = run_island(config, _instance(n=12))
     assert time.monotonic() - start < 5.0
     assert 0 < result.stats.generations < 10_000
 
@@ -227,7 +209,7 @@ def test_memetic_beats_baseline_on_paired_seeds():
     wins = 0
     for seed in range(10):
         results = {}
-        for algorithm, loop in (("memetic", run_memetic_island), ("nsga2", run_nsga2_island)):
+        for algorithm in ("memetic", "nsga2"):
             config = _config(
                 algorithm=algorithm,
                 seed=1000 + seed,
@@ -235,7 +217,7 @@ def test_memetic_beats_baseline_on_paired_seeds():
                 population_size=12,
                 ls_params=LocalSearchParams(t_max=0.1),
             )
-            results[algorithm] = loop(config, inst)
+            results[algorithm] = run_island(config, inst)
         fronts = [
             [tuple(float(v) for v in s.objectives) for s in results[a].archive.members]
             for a in ("memetic", "nsga2")
