@@ -33,13 +33,7 @@ from .localsearch import (
     ordered_swap_neighborhood,
 )
 from .metrics import hypervolume, normalize_fronts, reference_point, wilcoxon_rank_sum
-from .ranking import (
-    compare_fitness_then_diversity,
-    crowding_assign,
-    dominance_depth_assign,
-    dominates,
-    elitist_integration,
-)
+from .ranking import dominates, elitist_integration, front_crowding, pareto_ranks
 from .runner import ExperimentConfig, enumerate_front, run_experiment
 
 __version__ = "0.1.0"

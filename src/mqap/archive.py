@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .evaluation import Solution
-from .ranking import assign_front_crowding, dominates
+from .ranking import dominates, front_crowding
 
 
 class Archive:
@@ -55,9 +57,8 @@ class Archive:
 
     def _evict_most_crowded(self) -> None:
         # Members form a single front, so crowding is computed directly.
-        assign_front_crowding(self.members)
-        worst = min(range(len(self.members)), key=lambda i: self.members[i].diversity)
-        evicted = self.members.pop(worst)
+        crowding = front_crowding(np.array([m.objectives for m in self.members]))
+        evicted = self.members.pop(int(np.argmin(crowding)))
         self._perm_keys.discard(evicted.perm_key())
         if self.evictions is not None:
             self.evictions.append(evicted)

@@ -234,27 +234,40 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = InstanceSpec(
-        n=args.n,
-        m=args.m,
-        correlation=args.correlation,
-        seed=args.seed,
-        max_value=args.max_value,
-    )
-    instance = generate_uniform(spec)
+    try:
+        instance = generate_uniform(
+            InstanceSpec(
+                n=args.n,
+                m=args.m,
+                correlation=args.correlation,
+                seed=args.seed,
+                max_value=args.max_value,
+            )
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid generator spec: {exc}") from exc
     save_instance(instance, args.out)
     print(f"wrote {instance.name} to {args.out}")
     return 0
 
 
 def cmd_hv(args) -> int:
-    _, rows = runner.read_front_file(args.front)
+    try:
+        _, rows = runner.read_front_file(args.front)
+    except ValueError as exc:
+        raise ConfigError(f"cannot read {args.front}: {exc}") from exc
     points = [tuple(float(v) for v in obj) for _, obj in rows]
     if not points:
-        print("front file holds no points", file=sys.stderr)
-        return 1
+        raise ConfigError(f"{args.front} holds no points")
     if args.ref:
-        ref = tuple(float(v) for v in args.ref.split(","))
+        try:
+            ref = tuple(float(v) for v in args.ref.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"invalid reference point {args.ref!r}: {exc}") from exc
+        if len(ref) != len(points[0]):
+            raise ConfigError(
+                f"reference point has {len(ref)} coordinates, the front has {len(points[0])}"
+            )
     else:
         (points,), _ = normalize_fronts([points])
         ref = reference_point(points, args.offset)

@@ -27,30 +27,16 @@ class DimensionMismatchError(ValueError):
 
 @dataclass(eq=False)
 class Solution:
-    """A permutation with its cached objective vector and search bookkeeping.
-
-    ``rank`` (dominance depth, lower is better) and ``diversity`` (crowding,
-    higher is better) are scratch fields rewritten by the ranking pass;
-    ``visited`` is local-search bookkeeping.
-    """
+    """A permutation with its cached objective vector."""
 
     perm: np.ndarray
     objectives: ObjectiveVector
-    visited: bool = False
-    rank: int = 0
-    diversity: float = 0.0
 
     def perm_key(self) -> bytes:
         return self.perm.tobytes()
 
     def copy(self) -> "Solution":
-        return Solution(
-            perm=self.perm.copy(),
-            objectives=self.objectives,
-            visited=False,
-            rank=self.rank,
-            diversity=self.diversity,
-        )
+        return Solution(perm=self.perm.copy(), objectives=self.objectives)
 
 
 def evaluate_full(instance: Instance, perm: np.ndarray) -> ObjectiveVector:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,17 +85,21 @@ def swap_mutation(perm: np.ndarray, pb_m: float, rng: Rng) -> np.ndarray:
 def tournament_select(
     pool: Sequence[Solution],
     k: int,
-    comparator: Callable[[Solution, Solution], int],
+    fitness: Sequence,
     rng: Rng,
 ) -> Solution:
-    """Deterministic tournament: k entrants drawn with replacement, best wins."""
+    """Deterministic tournament: k entrants drawn with replacement, best wins.
+
+    ``fitness[i]`` is the key of ``pool[i]``, smaller is better; a challenger
+    replaces the current winner only when its key is strictly smaller.
+    """
     if not pool:
         raise ValueError("tournament pool is empty")
     if k < 1:
         raise ValueError("tournament size must be >= 1")
-    best = pool[rng.randrange(len(pool))]
+    best = rng.randrange(len(pool))
     for _ in range(k - 1):
-        challenger = pool[rng.randrange(len(pool))]
-        if comparator(challenger, best) < 0:
+        challenger = rng.randrange(len(pool))
+        if fitness[challenger] < fitness[best]:
             best = challenger
-    return best
+    return pool[best]

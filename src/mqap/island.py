@@ -29,11 +29,7 @@ from .genetics import (
 )
 from .instance import Instance
 from .localsearch import Clock, LocalSearchParams, dominance_based_local_search
-from .ranking import (
-    compare_fitness_then_diversity,
-    elitist_integration,
-    rank_and_crowd,
-)
+from .ranking import Fitness, elitist_integration, rank_and_crowd
 
 MEMETIC = "memetic"
 NSGA2 = "nsga2"
@@ -144,6 +140,7 @@ class IslandResult:
 def _make_offspring(
     instance: Instance,
     population: list[Solution],
+    fitness: list[Fitness],
     config: IslandConfig,
     rng: Rng,
 ) -> list[Solution]:
@@ -161,14 +158,12 @@ def _make_offspring(
     max_attempts = 3 * config.population_size
     while len(offspring) < config.population_size:
         attempts += 1
-        p1 = tournament_select(population, config.tournament_k, compare_fitness_then_diversity, rng)
-        p2 = tournament_select(population, config.tournament_k, compare_fitness_then_diversity, rng)
+        p1 = tournament_select(population, config.tournament_k, fitness, rng)
+        p2 = tournament_select(population, config.tournament_k, fitness, rng)
         for _ in range(5):
             if p2 is not p1:
                 break
-            p2 = tournament_select(
-                population, config.tournament_k, compare_fitness_then_diversity, rng
-            )
+            p2 = tournament_select(population, config.tournament_k, fitness, rng)
         if rng.random() < params.pb_c:
             c1, c2 = cycle_crossover(p1.perm, p2.perm)
         else:
@@ -197,12 +192,10 @@ def _distinct_permutations(solutions: list[Solution]) -> list[Solution]:
 
 
 def _select_migrants(archive: Archive, config: IslandConfig, rng: Rng) -> list[Solution]:
-    """Tournament over the (re-ranked) archive members."""
-    rank_and_crowd(archive.members)
+    """Tournament over the archive members, ranked among themselves."""
+    fitness = rank_and_crowd(archive.members)
     return [
-        tournament_select(
-            archive.members, config.tournament_k, compare_fitness_then_diversity, rng
-        )
+        tournament_select(archive.members, config.tournament_k, fitness, rng)
         for _ in range(config.migrants)
     ]
 
@@ -218,12 +211,14 @@ def run_island(
 
     Per generation: breed offspring into the archive, improve them into a
     survival pool, drain migrants into the archive, ship tournament-selected
-    migrants every ``epoch`` generations, then keep the comparator-best
+    migrants every ``epoch`` generations, then keep the fitness-best
     ``population_size`` of pool plus migrants and refill with random
-    solutions.  The algorithms differ only in the improvement step: the
-    memetic island runs the local search over the archive plus the
-    offspring and archives its working set as the pool; the NSGA-II island
-    pools population and offspring unchanged ((mu+lambda) survival).
+    solutions.  The population's fitness keys travel with it into the next
+    tournament; a refill re-ranks the whole population.  The algorithms
+    differ only in the improvement step: the memetic island runs the local
+    search over the archive plus the offspring and archives its working set
+    as the pool; the NSGA-II island pools population and offspring
+    unchanged ((mu+lambda) survival).
     """
     rng = Rng(config.seed)
     stats = IslandStats(island_id=config.island_id)
@@ -232,13 +227,13 @@ def run_island(
 
     population = [random_solution(instance, rng) for _ in range(config.population_size)]
     archive.insert(population)
-    rank_and_crowd(population)
+    fitness = rank_and_crowd(population)
 
     generation = 1
     while generation <= config.g_max:
         if config.time_budget is not None and clock() - start >= config.time_budget:
             break
-        offspring = _make_offspring(instance, population, config, rng)
+        offspring = _make_offspring(instance, population, fitness, config, rng)
         archive.insert(offspring)
         if config.algorithm == MEMETIC:
             improved = dominance_based_local_search(
@@ -258,11 +253,14 @@ def run_island(
             stats.migrants_sent += outboxes.send(config.island_id, selected, generation)
             stats.send_events += 1
 
-        population = elitist_integration(pool, migrants, config.population_size)
-        while len(population) < config.population_size:
+        population, fitness = elitist_integration(pool, migrants, config.population_size)
+        refill = config.population_size - len(population)
+        for _ in range(refill):
             fresh = random_solution(instance, rng)
             archive.insert_one(fresh)
             population.append(fresh)
+        if refill:
+            fitness = rank_and_crowd(population)
         stats.generations = generation
         generation += 1
 

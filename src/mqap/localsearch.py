@@ -77,18 +77,15 @@ def dominance_based_local_search(
     population = list(archive.members)
     member_ids = set(map(id, population))
     population.extend(s for s in extra if id(s) not in member_ids)
-    for sol in population:
-        sol.visited = False
     start = clock()
-    unvisited = [s for s in population if not s.visited]
+    # Unscanned members in population order: the drawn one leaves, an
+    # accepted neighbour joins at the end.
+    unvisited = list(population)
     while unvisited and clock() - start < params.t_max:
-        sol = unvisited[rng.randrange(len(unvisited))]
+        sol = unvisited.pop(rng.randrange(len(unvisited)))
         found = first_dominating_swap(instance, sol)
         if found is not None:
-            i, j, delta = found
-            neighbor = apply_swap(sol, i, j, delta)
-            neighbor.visited = False
+            neighbor = apply_swap(sol, *found)
             population.append(neighbor)
-        sol.visited = True
-        unvisited = [s for s in population if not s.visited]
+            unvisited.append(neighbor)
     return population

@@ -1,20 +1,21 @@
 """Pareto ranking machinery: dominance depth, crowding, and survival.
 
 Fitness is the dominance depth (front index) of a solution; diversity is
-the front-local crowding value.  The FitnessThenDiversity comparator that
-drives selection, migration and survival prefers lower depth and, on ties,
-higher crowding.
+the front-local crowding value.  Both are returned as arrays aligned with
+the ranked rows, never stored on the solutions.  ``rank_and_crowd`` packs
+them into one ``(rank, -crowding)`` key per member, so the natural tuple
+order prefers lower depth and, on ties, higher crowding.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .evaluation import ObjectiveVector, Solution
 
-INFINITY = float("inf")
+Fitness = tuple[int, float]
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -32,112 +33,78 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return not_worse and strictly_better
 
 
-@dataclass
-class RankedPopulation:
-    members: list[Solution]
-    fronts: list[list[Solution]]
+def pareto_ranks(objs: np.ndarray) -> np.ndarray:
+    """Front index of every row of an (N, m) objective array, 0 = non-dominated.
 
-
-def dominance_depth_assign(pop: Sequence[Solution]) -> RankedPopulation:
-    """Assign each solution its front index by domination-count peeling.
-
-    For each solution we count its dominators and remember the set it
-    dominates; front 0 is the zero-count group, and each next front appears
-    as counts reach zero while peeling the previous one.
+    ``dominated[i, j]`` holds when row i dominates row j; fronts are peeled
+    by removing the rows that nothing remaining dominates.
     """
-    members = list(pop)
-    n = len(members)
-    dominated_by_me: list[list[int]] = [[] for _ in range(n)]
-    dominator_count = [0] * n
-    for i in range(n):
-        oi = members[i].objectives
-        for j in range(i + 1, n):
-            oj = members[j].objectives
-            if dominates(oi, oj):
-                dominated_by_me[i].append(j)
-                dominator_count[j] += 1
-            elif dominates(oj, oi):
-                dominated_by_me[j].append(i)
-                dominator_count[i] += 1
-
-    fronts: list[list[Solution]] = []
-    current = [i for i in range(n) if dominator_count[i] == 0]
+    objs = np.asarray(objs)
+    size = len(objs)
+    not_worse = np.ones((size, size), dtype=bool)
+    better = np.zeros((size, size), dtype=bool)
+    for col in objs.T:
+        not_worse &= col[:, None] <= col[None, :]
+        better |= col[:, None] < col[None, :]
+    dominated = not_worse & better
+    dominator_count = dominated.sum(axis=0)
+    ranks = np.full(size, -1, dtype=np.int64)
     rank = 0
-    while current:
-        front = []
-        next_front: list[int] = []
-        for i in current:
-            members[i].rank = rank
-            front.append(members[i])
-            for j in dominated_by_me[i]:
-                dominator_count[j] -= 1
-                if dominator_count[j] == 0:
-                    next_front.append(j)
-        fronts.append(front)
-        current = next_front
+    while (ranks < 0).any():
+        front = (ranks < 0) & (dominator_count == 0)
+        ranks[front] = rank
+        dominator_count -= dominated[front].sum(axis=0)
         rank += 1
-    return RankedPopulation(members=members, fronts=fronts)
+    return ranks
 
 
-def crowding_assign(ranked: RankedPopulation) -> RankedPopulation:
-    """Front-by-front crowding: boundary points get infinity, interior
-    points accumulate the normalized gap between their two neighbors per
-    objective (0 when an objective is constant across the front)."""
-    for front in ranked.fronts:
-        assign_front_crowding(front)
-    return ranked
+def front_crowding(objs: np.ndarray) -> np.ndarray:
+    """Crowding of the rows of one front, in row order.
+
+    Per objective, the stable-sort end rows get infinity and interior rows
+    accumulate the gap between their two neighbours over the front's span
+    (nothing when the objective is constant across the front).
+    """
+    objs = np.asarray(objs)
+    crowding = np.zeros(len(objs))
+    if len(objs) == 0:
+        return crowding
+    for col in objs.T:
+        order = np.argsort(col, kind="stable")
+        crowding[order[[0, -1]]] = np.inf
+        span = col[order[-1]] - col[order[0]]
+        if span > 0:
+            crowding[order[1:-1]] += (col[order[2:]] - col[order[:-2]]) / span
+    return crowding
 
 
-def assign_front_crowding(front: list[Solution]) -> None:
-    for sol in front:
-        sol.diversity = 0.0
-    if not front:
-        return
-    m = len(front[0].objectives)
-    for r in range(m):
-        ordered = sorted(front, key=lambda s: s.objectives[r])
-        ordered[0].diversity = INFINITY
-        ordered[-1].diversity = INFINITY
-        span = ordered[-1].objectives[r] - ordered[0].objectives[r]
-        if span <= 0:
-            continue
-        for idx in range(1, len(ordered) - 1):
-            sol = ordered[idx]
-            if sol.diversity == INFINITY:
-                continue
-            gap = ordered[idx + 1].objectives[r] - ordered[idx - 1].objectives[r]
-            sol.diversity += gap / span
-
-
-def compare_fitness_then_diversity(a: Solution, b: Solution) -> int:
-    """Negative if a is better: lower rank wins, then higher diversity."""
-    if a.rank != b.rank:
-        return -1 if a.rank < b.rank else 1
-    if a.diversity != b.diversity:
-        return -1 if a.diversity > b.diversity else 1
-    return 0
-
-
-FITNESS_THEN_DIVERSITY_KEY = functools.cmp_to_key(compare_fitness_then_diversity)
-
-
-def rank_and_crowd(pop: Sequence[Solution]) -> RankedPopulation:
-    return crowding_assign(dominance_depth_assign(pop))
+def rank_and_crowd(solutions: Sequence[Solution]) -> list[Fitness]:
+    """One ``(rank, -crowding)`` fitness key per solution; smaller is better."""
+    if not solutions:
+        return []
+    objs = np.array([sol.objectives for sol in solutions], dtype=np.int64)
+    ranks = pareto_ranks(objs)
+    crowding = np.empty(len(objs))
+    for rank in range(int(ranks.max()) + 1):
+        members = np.flatnonzero(ranks == rank)
+        crowding[members] = front_crowding(objs[members])
+    return list(zip(ranks.tolist(), (-crowding).tolist()))
 
 
 def elitist_integration(
     current: Sequence[Solution],
     immigrants: Sequence[Solution],
     capacity: int,
-) -> list[Solution]:
-    """Survival of the comparator-best members of residents plus immigrants.
+) -> tuple[list[Solution], list[Fitness]]:
+    """The fitness-best ``capacity`` members of residents plus immigrants.
 
-    Ranks and crowding are recomputed on the union before the stable sort,
-    so residents precede immigrants on exact ties.
+    Fitness is ranked on the union and the sort is stable, so residents
+    precede immigrants on exact ties.  Returns the survivors with their
+    fitness keys from that ranking.
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     union = list(current) + list(immigrants)
-    rank_and_crowd(union)
-    union.sort(key=FITNESS_THEN_DIVERSITY_KEY)
-    return union[:capacity]
+    fitness = rank_and_crowd(union)
+    kept = sorted(range(len(union)), key=fitness.__getitem__)[:capacity]
+    return [union[i] for i in kept], [fitness[i] for i in kept]

@@ -345,22 +345,25 @@ def load_result_set(directory) -> ResultSet:
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
         raise InstanceLoadError(f"{directory} has no {MANIFEST_NAME}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    fronts = []
-    seeds = []
-    for rec in manifest["trial_records"]:
-        _, rows = read_front_file(path / rec["front_file"])
-        fronts.append([tuple(float(v) for v in obj) for _, obj in rows])
-        seeds.append(rec["seed"])
-    return ResultSet(
-        label=f"{manifest['algorithm']}/{manifest['islands']}",
-        directory=str(path),
-        instance=manifest["instance"],
-        algorithm=manifest["algorithm"],
-        islands=manifest["islands"],
-        fronts=fronts,
-        seeds=seeds,
-    )
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        fronts = []
+        seeds = []
+        for rec in manifest["trial_records"]:
+            _, rows = read_front_file(path / rec["front_file"])
+            fronts.append([tuple(float(v) for v in obj) for _, obj in rows])
+            seeds.append(rec["seed"])
+        return ResultSet(
+            label=f"{manifest['algorithm']}/{manifest['islands']}",
+            directory=str(path),
+            instance=manifest["instance"],
+            algorithm=manifest["algorithm"],
+            islands=manifest["islands"],
+            fronts=fronts,
+            seeds=seeds,
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InstanceLoadError(f"{manifest_path} is not a valid result manifest: {exc!r}") from exc
 
 
 def compare_result_sets(

@@ -221,6 +221,20 @@ def test_hv_command(tmp_path, capsys):
     assert printed == pytest.approx(3125.0)
 
 
+def _write_bad_inputs(directory):
+    """Front and result-directory files that the bad-input cases point at."""
+    write_front_file(
+        directory / "two.front",
+        [Solution(perm=np.array([0, 1]), objectives=(25, 75))],
+        {"instance": "demo"},
+    )
+    write_front_file(directory / "empty.front", [], {"instance": "demo"})
+    (directory / "malformed.front").write_text("0 1 | 3 x\n", encoding="utf-8")
+    for name, manifest in (("not-json", "{trial_records"), ("no-records", '{"instance": "x"}')):
+        (directory / name).mkdir()
+        (directory / name / "manifest.json").write_text(manifest, encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -229,11 +243,36 @@ def test_hv_command(tmp_path, capsys):
         ["run", "--gen-spec", "n=1,m=2"],
         ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500],
         ["hv", "--front", "missing.front"],
+        ["gen", "--n", 1, "--m", 2, "--out", "results"],
+        ["gen", "--n", 5, "--m", 0, "--out", "results"],
+        ["gen", "--n", 5, "--m", 2, "--correlation", 2, "--out", "results"],
+        ["hv", "--front", "two.front", "--ref", "1,abc"],
+        ["hv", "--front", "two.front", "--ref", "100,100,100"],
+        ["hv", "--front", "empty.front"],
+        ["hv", "--front", "malformed.front"],
+        ["compare", "not-json", "not-json"],
+        ["compare", "no-records", "no-records"],
     ],
-    ids=["zero-trials", "spec-without-n", "spec-n1", "migrants-over-capacity", "missing-front"],
+    ids=[
+        "zero-trials",
+        "spec-without-n",
+        "spec-n1",
+        "migrants-over-capacity",
+        "missing-front",
+        "gen-n1",
+        "gen-m0",
+        "gen-correlation-2",
+        "hv-ref-not-a-number",
+        "hv-ref-wrong-dimension",
+        "hv-empty-front",
+        "hv-malformed-front",
+        "compare-manifest-not-json",
+        "compare-manifest-without-records",
+    ],
 )
 def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
+    _write_bad_inputs(tmp_path)
     if argv[0] == "run":
         argv = argv + ["--out", "results"]
     assert _run(argv) == 2

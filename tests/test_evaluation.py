@@ -129,4 +129,4 @@ def test_apply_swap_same_position(np_rng):
     same = apply_swap(sol, 2, 2, (0,))
     assert np.array_equal(same.perm, sol.perm)
     assert same.objectives == sol.objectives
-    assert same.visited is False
+    assert same.perm is not sol.perm

@@ -5,7 +5,6 @@ import pytest
 
 from mqap import Rng, Solution, cycle_crossover, swap_mutation, tournament_select
 from mqap.genetics import VariationParams
-from mqap.ranking import compare_fitness_then_diversity
 
 REF_P1 = [8, 4, 7, 3, 6, 2, 5, 1, 9, 0]
 REF_P2 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
@@ -84,23 +83,24 @@ def test_determinism_same_seed(np_rng):
     assert np.array_equal(a, b)
 
 
-def _ranked(rank, diversity=0.0, seed=0):
-    sol = Solution(perm=np.arange(4), objectives=(rank, rank))
-    sol.rank = rank
-    sol.diversity = diversity
-    return sol
+def _pool(size):
+    return [Solution(perm=np.arange(4), objectives=(i, i)) for i in range(size)]
+
+
+def _key(rank, crowding=0.0):
+    return (rank, -crowding)
 
 
 def test_tournament_single_member_pool():
-    only = _ranked(3)
-    assert tournament_select([only], 2, compare_fitness_then_diversity, Rng(0)) is only
+    (only,) = _pool(1)
+    assert tournament_select([only], 2, [_key(3)], Rng(0)) is only
 
 
 def test_tournament_better_rank_wins():
-    good, bad = _ranked(0), _ranked(2)
+    good, bad = _pool(2)
     for seed in range(20):
         rng = Rng(seed)
-        winner = tournament_select([good, bad], 4, compare_fitness_then_diversity, rng)
+        winner = tournament_select([good, bad], 4, [_key(0), _key(2)], rng)
         assert winner is good or _drawn_only_bad(seed, 4, 2)
 
 
@@ -109,23 +109,33 @@ def _drawn_only_bad(seed, k, pool_size):
     return all(rng.randrange(pool_size) == 1 for _ in range(k))
 
 
+def _better(a, b):
+    """Comparator oracle on (rank, crowding): lower rank, then more crowding."""
+    if a[0] != b[0]:
+        return a[0] < b[0]
+    return a[1] > b[1]
+
+
 def test_tournament_matches_replayed_draws():
-    # Replaying the rng draws gives an exact oracle for the winner.
-    pool = [_ranked(rank, diversity=float(rank)) for rank in range(5)]
+    # Replaying the rng draws gives an exact oracle for the winner; equal
+    # members 0 and 4 check that only a strictly better challenger wins.
+    pool = _pool(5)
+    ranked = [(0, 1.0), (1, float("inf")), (1, 2.0), (2, 0.0), (0, 1.0)]
+    fitness = [_key(rank, crowding) for rank, crowding in ranked]
     for seed in range(60):
-        winner = tournament_select(pool, 3, compare_fitness_then_diversity, Rng(seed))
+        winner = tournament_select(pool, 3, fitness, Rng(seed))
         rng = Rng(seed)
-        entrants = [pool[rng.randrange(5)] for _ in range(3)]
+        entrants = [rng.randrange(5) for _ in range(3)]
         best = entrants[0]
         for challenger in entrants[1:]:
-            if compare_fitness_then_diversity(challenger, best) < 0:
+            if _better(ranked[challenger], ranked[best]):
                 best = challenger
-        assert winner is best
+        assert winner is pool[best]
 
 
 def test_tournament_empty_pool():
     with pytest.raises(ValueError):
-        tournament_select([], 2, compare_fitness_then_diversity, Rng(0))
+        tournament_select([], 2, [], Rng(0))
 
 
 def test_variation_params_validation():

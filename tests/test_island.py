@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import mqap.island
 from mqap import (
     IslandConfig,
     Rng,
@@ -13,11 +14,12 @@ from mqap import (
     run_island,
 )
 from mqap.evaluation import random_solution
-from mqap.genetics import VariationParams
+from mqap.genetics import VariationParams, tournament_select
 from mqap.instance import InstanceSpec, generate_uniform
 from mqap.island import MigrantBatch, Outboxes, build_channels
 from mqap.localsearch import LocalSearchParams
 from mqap.metrics import hypervolume, non_dominated, normalize_fronts, reference_point
+from mqap.ranking import rank_and_crowd
 
 from conftest import brute_force_non_dominated
 
@@ -226,3 +228,33 @@ def test_memetic_beats_baseline_on_paired_seeds():
         if hv_memetic >= hv_nsga2 - 1e-12:
             wins += 1
     assert wins >= 7, f"memetic won only {wins}/10 paired seeds"
+
+
+@pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
+def test_refilled_population_is_ranked_before_its_tournaments(algorithm, monkeypatch):
+    # n=4 has 24 permutations, so a population of 30 is refilled with random
+    # solutions every generation, and a 2-member archive keeps evicting.
+    config = _config(
+        algorithm=algorithm,
+        population_size=30,
+        archive_capacity=2,
+        g_max=15,
+        ls_params=LocalSearchParams(t_max=1e6),
+    )
+    checks = []
+    draws = []
+
+    def checking_tournament(pool, k, fitness, rng):
+        if len(pool) == config.population_size:
+            checks.append(list(fitness) == rank_and_crowd(pool))
+        return tournament_select(pool, k, fitness, rng)
+
+    def counting_random_solution(instance, rng):
+        draws.append(1)
+        return random_solution(instance, rng)
+
+    monkeypatch.setattr(mqap.island, "tournament_select", checking_tournament)
+    monkeypatch.setattr(mqap.island, "random_solution", counting_random_solution)
+    run_island(config, _instance(n=4, m=3))
+    assert len(draws) > config.population_size, "no refill happened"
+    assert checks and all(checks)

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 
+import mqap.localsearch
 from mqap import (
     Archive,
     Rng,
@@ -16,6 +17,18 @@ from mqap import (
 from mqap.localsearch import LocalSearchParams, first_dominating_swap
 
 from conftest import random_instance
+
+
+def _record_scans(monkeypatch):
+    """Wrap the neighbourhood scan; returns the list of scanned solutions."""
+    scanned = []
+
+    def counting(instance, sol):
+        scanned.append(sol)
+        return first_dominating_swap(instance, sol)
+
+    monkeypatch.setattr(mqap.localsearch, "first_dominating_swap", counting)
+    return scanned
 
 
 def test_neighborhood_order_n3():
@@ -77,7 +90,7 @@ def test_accepts_lowest_pair_in_scan_order(np_rng):
     assert found, "no improvable start solution found"
 
 
-def test_locally_optimal_solution_returned_unchanged(np_rng):
+def test_locally_optimal_solution_returned_unchanged(np_rng, monkeypatch):
     inst = random_instance(np_rng, 5, 2)
     # Walk to a local optimum first.
     sol = make_solution(inst, np_rng.permutation(5))
@@ -91,9 +104,10 @@ def test_locally_optimal_solution_returned_unchanged(np_rng):
         sol = make_solution(inst, perm)
     archive = Archive(capacity=10)
     archive.insert([sol])
+    scanned = _record_scans(monkeypatch)
     result = dominance_based_local_search(archive, LocalSearchParams(t_max=5.0), inst, Rng(1))
     assert result == [sol]
-    assert sol.visited is True
+    assert scanned == [sol]
 
 
 def test_tiny_budget_returns_archive_contents(np_rng):
@@ -108,19 +122,19 @@ def test_tiny_budget_returns_archive_contents(np_rng):
     assert set(map(id, archive.members)) <= set(map(id, result))
 
 
-def test_budget_respected_with_logical_clock(np_rng):
+def test_budget_respected_with_logical_clock(np_rng, monkeypatch):
     inst = random_instance(np_rng, 10, 2)
     archive = Archive(capacity=100)
     archive.insert([make_solution(inst, np_rng.permutation(10)) for _ in range(60)])
 
     ticks = iter(float(t) for t in itertools.count())
     clock = lambda: next(ticks)  # noqa: E731 - 1s per observation
-    result = dominance_based_local_search(
+    scanned = _record_scans(monkeypatch)
+    dominance_based_local_search(
         archive, LocalSearchParams(t_max=5.0), inst, Rng(3), clock=clock
     )
     # Loop head sees elapsed 1, 2, ... so at most 5 solutions get scanned.
-    visited = [s for s in result if s.visited]
-    assert len(visited) <= 5
+    assert len(scanned) <= 5
 
 
 def test_accepted_neighbors_dominate_a_one_swap_origin(np_rng):
@@ -140,9 +154,12 @@ def test_accepted_neighbors_dominate_a_one_swap_origin(np_rng):
         assert origins, "accepted neighbor lacks a dominated one-swap origin"
 
 
-def test_all_members_visited_on_exhaustion(np_rng):
+def test_all_members_visited_on_exhaustion(np_rng, monkeypatch):
     inst = random_instance(np_rng, 6, 2)
     archive = Archive(capacity=20)
     archive.insert([make_solution(inst, np_rng.permutation(6)) for _ in range(8)])
+    scanned = _record_scans(monkeypatch)
     result = dominance_based_local_search(archive, LocalSearchParams(t_max=10.0), inst, Rng(2))
-    assert all(s.visited for s in result)
+    # Each member is scanned exactly once.
+    assert len(scanned) == len(result)
+    assert set(map(id, scanned)) == set(map(id, result))

@@ -4,15 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from mqap import (
-    Solution,
-    compare_fitness_then_diversity,
-    crowding_assign,
-    dominance_depth_assign,
-    dominates,
-    elitist_integration,
-)
-from mqap.ranking import FITNESS_THEN_DIVERSITY_KEY, rank_and_crowd
+from mqap import Solution, dominates, elitist_integration, front_crowding, pareto_ranks
+from mqap.ranking import rank_and_crowd
 
 from conftest import crowding_oracle, repeated_filter_ranks
 
@@ -25,6 +18,12 @@ def _sols(objectives):
         perm = np.roll(np.arange(max(4, len(objectives))), idx).astype(np.int64)
         out.append(Solution(perm=perm, objectives=tuple(obj)))
     return out
+
+
+def _fronts(objs):
+    """Row indices of each front, in row order."""
+    ranks = pareto_ranks(objs)
+    return [np.flatnonzero(ranks == r).tolist() for r in range(int(ranks.max()) + 1)]
 
 
 def test_dominates_basics():
@@ -40,16 +39,11 @@ def test_dominates_dimension_mismatch():
 
 
 def test_all_non_dominated_rank_zero():
-    pop = _sols([(0, 3), (1, 2), (2, 1), (3, 0)])
-    ranked = dominance_depth_assign(pop)
-    assert [s.rank for s in pop] == [0, 0, 0, 0]
-    assert len(ranked.fronts) == 1
+    assert pareto_ranks([(0, 3), (1, 2), (2, 1), (3, 0)]).tolist() == [0, 0, 0, 0]
 
 
 def test_chain_ranks():
-    pop = _sols([(3, 3), (1, 1), (2, 2)])
-    dominance_depth_assign(pop)
-    assert [s.rank for s in pop] == [2, 0, 1]
+    assert pareto_ranks([(3, 3), (1, 1), (2, 2)]).tolist() == [2, 0, 1]
 
 
 def test_rank_oracle_equivalence():
@@ -58,116 +52,109 @@ def test_rank_oracle_equivalence():
         size = rng.randrange(2, 25)
         m = rng.choice([2, 3, 4])
         objs = [tuple(rng.randrange(0, 8) for _ in range(m)) for _ in range(size)]
-        pop = _sols(objs)
-        dominance_depth_assign(pop)
-        assert [s.rank for s in pop] == repeated_filter_ranks(objs)
+        assert pareto_ranks(objs).tolist() == repeated_filter_ranks(objs)
 
 
 def test_rank_monotone_under_dominance():
     rng = random.Random(9)
     objs = [tuple(rng.randrange(0, 6) for _ in range(3)) for _ in range(30)]
-    pop = _sols(objs)
-    dominance_depth_assign(pop)
-    for a in pop:
-        for b in pop:
-            if dominates(a.objectives, b.objectives):
-                assert a.rank < b.rank
+    ranks = pareto_ranks(objs)
+    for a in range(len(objs)):
+        for b in range(len(objs)):
+            if dominates(objs[a], objs[b]):
+                assert ranks[a] < ranks[b]
 
 
 def test_rank_order_insensitive():
     rng = random.Random(3)
     objs = [tuple(rng.randrange(0, 5) for _ in range(2)) for _ in range(20)]
-    pop = _sols(objs)
-    dominance_depth_assign(pop)
-    expected = {id(s): s.rank for s in pop}
-    shuffled = pop[:]
-    rng.shuffle(shuffled)
-    dominance_depth_assign(shuffled)
-    assert {id(s): s.rank for s in shuffled} == expected
+    ranks = pareto_ranks(objs)
+    order = list(range(len(objs)))
+    rng.shuffle(order)
+    shuffled = pareto_ranks([objs[i] for i in order])
+    assert [int(shuffled[k]) for k in range(len(order))] == [int(ranks[i]) for i in order]
 
 
 def test_front_partition_structure():
     rng = random.Random(12)
     objs = [tuple(rng.randrange(0, 5) for _ in range(2)) for _ in range(25)]
-    pop = _sols(objs)
-    ranked = dominance_depth_assign(pop)
+    fronts = _fronts(objs)
     seen = 0
-    for depth, front in enumerate(ranked.fronts):
-        assert all(s.rank == depth for s in front)
+    for depth, front in enumerate(fronts):
+        assert front
         seen += len(front)
-        later = [s for f in ranked.fronts[depth:] for s in f]
-        for s in front:
-            assert not any(dominates(o.objectives, s.objectives) for o in later)
-    assert seen == len(pop)
+        later = [i for f in fronts[depth:] for i in f]
+        for i in front:
+            assert not any(dominates(objs[o], objs[i]) for o in later)
+    assert seen == len(objs)
+
+
+def test_empty_population():
+    assert pareto_ranks(np.empty((0, 2), dtype=np.int64)).tolist() == []
+    assert front_crowding(np.empty((0, 2), dtype=np.int64)).tolist() == []
+    assert rank_and_crowd([]) == []
 
 
 def test_crowding_pair_front_is_infinite():
-    pop = _sols([(0, 1), (1, 0)])
-    crowding_assign(dominance_depth_assign(pop))
-    assert pop[0].diversity == INF and pop[1].diversity == INF
+    assert front_crowding([(0, 1), (1, 0)]).tolist() == [INF, INF]
 
 
 def test_crowding_hand_case():
-    pop = _sols([(0, 4), (1, 2), (4, 0)])
-    crowding_assign(dominance_depth_assign(pop))
-    assert pop[0].diversity == INF and pop[2].diversity == INF
-    assert pop[1].diversity == pytest.approx(2.0)
+    crowding = front_crowding([(0, 4), (1, 2), (4, 0)])
+    assert crowding[0] == INF and crowding[2] == INF
+    assert crowding[1] == pytest.approx(2.0)
 
 
 def test_crowding_identical_objectives():
-    pop = _sols([(2, 2)] * 4)
-    crowding_assign(dominance_depth_assign(pop))
-    finite = [s.diversity for s in pop if not math.isinf(s.diversity)]
+    crowding = front_crowding([(2, 2)] * 4)
+    finite = [v for v in crowding if not math.isinf(v)]
     assert finite and all(v == 0.0 for v in finite)
 
 
 def test_crowding_boundary_rule_random():
     rng = random.Random(31)
     objs = [tuple(rng.randrange(0, 40) for _ in range(3)) for _ in range(25)]
-    pop = _sols(objs)
-    ranked = rank_and_crowd(pop)
-    for front in ranked.fronts:
+    fitness = rank_and_crowd(_sols(objs))
+    for front in _fronts(objs):
         for r in range(3):
-            lo = min(s.objectives[r] for s in front)
-            hi = max(s.objectives[r] for s in front)
+            lo = min(objs[i][r] for i in front)
+            hi = max(objs[i][r] for i in front)
             # With ties at an extreme, the stable-sort end member carries
             # the infinity; at least one extreme member must have it.
-            assert any(s.objectives[r] == lo and s.diversity == INF for s in front)
-            assert any(s.objectives[r] == hi and s.diversity == INF for s in front)
+            assert any(objs[i][r] == lo and fitness[i][1] == -INF for i in front)
+            assert any(objs[i][r] == hi and fitness[i][1] == -INF for i in front)
 
 
 def test_crowding_matches_oracle_per_front():
     rng = random.Random(77)
     objs = [tuple(rng.randrange(0, 25) for _ in range(2)) for _ in range(30)]
-    pop = _sols(objs)
-    ranked = rank_and_crowd(pop)
-    for front in ranked.fronts:
-        expected = crowding_oracle([s.objectives for s in front])
-        assert [s.diversity for s in front] == pytest.approx(expected)
+    fitness = rank_and_crowd(_sols(objs))
+    ranks = pareto_ranks(objs)
+    for front in _fronts(objs):
+        expected = crowding_oracle([objs[i] for i in front])
+        assert [-fitness[i][1] for i in front] == pytest.approx(expected)
+        assert all(fitness[i][0] == ranks[i] for i in front)
 
 
-def test_comparator():
-    a, b = _sols([(0, 0), (1, 1)])
-    a.rank, b.rank = 0, 2
-    assert compare_fitness_then_diversity(a, b) < 0
-    b.rank = 0
-    a.diversity, b.diversity = INF, 1.3
-    assert compare_fitness_then_diversity(a, b) < 0
-    b.diversity = INF
-    assert compare_fitness_then_diversity(a, b) == 0
+def test_fitness_key_order():
+    # Lower rank wins, then higher crowding; equal keys tie.
+    fitness = rank_and_crowd(_sols([(0, 4), (1, 2), (4, 0), (5, 5), (2, 6)]))
+    assert fitness == [(0, -INF), (0, -2.0), (0, -INF), (1, -INF), (1, -INF)]
+    assert fitness[0] < fitness[1] < fitness[3]
+    assert not fitness[0] < fitness[2] and not fitness[2] < fitness[0]
 
 
 def test_elitist_integration_keeps_residents_against_dominated_immigrants():
     current = _sols([(0, 3), (1, 2), (3, 0)])
     immigrants = _sols([(5, 5), (4, 6)])
-    kept = elitist_integration(current, immigrants, capacity=3)
+    kept, _ = elitist_integration(current, immigrants, capacity=3)
     assert set(map(id, kept)) == set(map(id, current))
 
 
 def test_elitist_integration_admits_dominating_immigrant():
     current = _sols([(4, 4), (5, 3), (3, 5)])
     immigrant = _sols([(0, 0)])[0]
-    kept = elitist_integration(current, [immigrant], capacity=3)
+    kept, _ = elitist_integration(current, [immigrant], capacity=3)
     assert immigrant in kept
 
 
@@ -175,25 +162,33 @@ def test_elitist_integration_matches_sort_oracle():
     rng = random.Random(8)
     current = _sols([tuple(rng.randrange(0, 9) for _ in range(2)) for _ in range(12)])
     immigrants = _sols([tuple(rng.randrange(0, 9) for _ in range(2)) for _ in range(8)])
-    kept = elitist_integration(current, immigrants, capacity=10)
+    kept, fitness = elitist_integration(current, immigrants, capacity=10)
 
+    # Oracle: ranks from peeling, crowding per front, stable comparator sort.
     union = current + immigrants
-    rank_and_crowd(union)
-    expected = sorted(union, key=FITNESS_THEN_DIVERSITY_KEY)[:10]
-    assert [id(s) for s in kept] == [id(s) for s in expected]
+    objs = [s.objectives for s in union]
+    ranks = repeated_filter_ranks(objs)
+    crowding = [0.0] * len(union)
+    for depth in set(ranks):
+        front = [i for i in range(len(union)) if ranks[i] == depth]
+        for i, value in zip(front, crowding_oracle([objs[i] for i in front])):
+            crowding[i] = value
+    expected = sorted(range(len(union)), key=lambda i: (ranks[i], -crowding[i]))[:10]
+    assert [id(s) for s in kept] == [id(union[i]) for i in expected]
+    assert fitness == [(ranks[i], -crowding[i]) for i in expected]
     assert len(kept) == 10
 
 
 def test_elitist_integration_small_union_kept_whole():
     current = _sols([(0, 1)])
-    kept = elitist_integration(current, [], capacity=10)
-    assert len(kept) == 1
+    kept, fitness = elitist_integration(current, [], capacity=10)
+    assert len(kept) == 1 and len(fitness) == 1
 
 
 def test_elitism_preserves_non_dominated_when_capacity_allows():
     rng = random.Random(21)
     union = _sols([tuple(rng.randrange(0, 10) for _ in range(2)) for _ in range(20)])
     nd = [s for s in union if not any(dominates(o.objectives, s.objectives) for o in union)]
-    kept = elitist_integration(union, [], capacity=max(len(nd), 10))
+    kept, _ = elitist_integration(union, [], capacity=max(len(nd), 10))
     kept_ids = set(map(id, kept))
     assert all(id(s) in kept_ids for s in nd)
