@@ -22,10 +22,10 @@ from .instance import (
 )
 from .island import (
     IslandConfig,
-    build_channels,
     check_migrants,
     run_fleet,
     run_island,
+    send_migrants,
 )
 from .localsearch import (
     LocalSearchParams,

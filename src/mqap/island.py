@@ -1,17 +1,17 @@
 """The island generation loop and the asynchronous migration fabric.
 
 Each island is a sequential generation loop owning its population, archive
-and RNG.  Islands never share mutable state: migration goes through
-unbounded per-edge queues, sends are buffered copies and receives drain
-whatever is queued without ever blocking, so a stalled island cannot hold
-up its neighbors.
+and RNG.  Islands never share mutable state: every island has one unbounded
+inbox queue that all its neighbours put migrant batches on.  Sends are
+buffered copies and an island drains whatever its inbox holds without ever
+blocking, so a stalled island cannot hold up its neighbours.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,8 +33,6 @@ from .ranking import Fitness, elitist_integration, rank_and_crowd
 
 MEMETIC = "memetic"
 NSGA2 = "nsga2"
-
-THREAD_CAP_ENV = "MQAP_THREADS"
 
 
 @dataclass(frozen=True)
@@ -59,66 +57,27 @@ class IslandConfig:
             raise ValueError("migrants may not exceed archive capacity")
         if self.g_max < 0:
             raise ValueError("g_max must be >= 0")
+        if self.tournament_k < 1:
+            raise ValueError("tournament_k must be >= 1")
         if self.algorithm not in (MEMETIC, NSGA2):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
-@dataclass
-class MigrantBatch:
-    sender: int
-    solutions: list[Solution]
-    generation: int
-
-
-class Inbox:
-    """Receiving end of all channels pointing at one island."""
-
-    def __init__(self, island_id: int, senders: tuple[int, ...]):
-        self.island_id = island_id
-        self.queues: dict[int, queue.SimpleQueue] = {s: queue.SimpleQueue() for s in senders}
-
-    def drain(self) -> list[MigrantBatch]:
-        batches = []
-        for q in self.queues.values():
-            while True:
-                try:
-                    batches.append(q.get_nowait())
-                except queue.Empty:
-                    break
-        return batches
-
-
-class Outboxes:
-    """Sending ends from one island to each of its neighbors."""
-
-    def __init__(self, channels: dict[int, queue.SimpleQueue]):
-        self.channels = channels
-
-    def send(self, sender: int, solutions: list[Solution], generation: int) -> int:
-        """Fan a batch out to every neighbor; each receives its own copies."""
-        for q in self.channels.values():
-            q.put(MigrantBatch(sender, [s.copy() for s in solutions], generation))
-        return len(solutions) * len(self.channels)
-
-
-def build_channels(island_count: int) -> tuple[dict[int, Inbox], dict[int, Outboxes]]:
-    """One unbounded queue per directed edge of the complete graph, wrapped per island."""
-    if island_count < 1:
-        raise ValueError("need at least one island")
-    ids = range(island_count)
-    inboxes = {i: Inbox(i, tuple(s for s in ids if s != i)) for i in ids}
-    outboxes = {i: Outboxes({j: inboxes[j].queues[i] for j in ids if j != i}) for i in ids}
-    return inboxes, outboxes
-
-
-def check_migrants(inbox: Inbox | None) -> list[Solution]:
-    """Drain every queued batch without blocking."""
-    if inbox is None:
-        return []
+def check_migrants(inbox: queue.SimpleQueue) -> list[Solution]:
+    """Drain every batch queued on ``inbox`` without blocking."""
     migrants: list[Solution] = []
-    for batch in inbox.drain():
-        migrants.extend(batch.solutions)
-    return migrants
+    while True:
+        try:
+            migrants.extend(inbox.get_nowait())
+        except queue.Empty:
+            return migrants
+
+
+def send_migrants(neighbours: Sequence[queue.SimpleQueue], solutions: list[Solution]) -> int:
+    """Put fresh copies of ``solutions`` on every neighbour's inbox; return the count sent."""
+    for inbox in neighbours:
+        inbox.put([s.copy() for s in solutions])
+    return len(solutions) * len(neighbours)
 
 
 @dataclass
@@ -203,8 +162,7 @@ def _select_migrants(archive: Archive, config: IslandConfig, rng: Rng) -> list[S
 def run_island(
     config: IslandConfig,
     instance: Instance,
-    inbox: Inbox | None = None,
-    outboxes: Outboxes | None = None,
+    inboxes: Sequence[queue.SimpleQueue] = (),
     clock: Clock = time.monotonic,
 ) -> IslandResult:
     """Generation loop of one island, memetic or NSGA-II.
@@ -219,7 +177,13 @@ def run_island(
     search over the archive plus the offspring and archives its working set
     as the pool; the NSGA-II island pools population and offspring
     unchanged ((mu+lambda) survival).
+
+    ``inboxes`` holds one queue per island of the fleet, indexed by island
+    id; the island drains its own and sends to all others.  Without
+    inboxes the island runs alone and draws no migrant tournament.
     """
+    inbox = inboxes[config.island_id] if inboxes else queue.SimpleQueue()
+    neighbours = [q for q in inboxes if q is not inbox]
     rng = Rng(config.seed)
     stats = IslandStats(island_id=config.island_id)
     start = clock()
@@ -248,9 +212,9 @@ def run_island(
         stats.migrants_received += len(migrants)
         archive.insert(migrants)
 
-        if outboxes is not None and generation % config.epoch == 0:
+        if neighbours and generation % config.epoch == 0:
             selected = _select_migrants(archive, config, rng)
-            stats.migrants_sent += outboxes.send(config.island_id, selected, generation)
+            stats.migrants_sent += send_migrants(neighbours, selected)
             stats.send_events += 1
 
         population, fitness = elitist_integration(pool, migrants, config.population_size)
@@ -275,41 +239,25 @@ class FleetResult:
     wall_time: float
 
 
-def thread_cap(default: int) -> int:
-    raw = os.environ.get(THREAD_CAP_ENV, "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return default
-    return max(1, min(cap, default)) if cap > 0 else default
-
-
 def run_fleet(
     instance: Instance,
     configs: list[IslandConfig],
     clock: Clock = time.monotonic,
 ) -> FleetResult:
-    """Run one fleet on the complete migration graph, join, and merge archives."""
+    """Run one fleet on the complete migration graph, join, and merge archives.
+
+    Every island runs on its own thread, so all of them migrate concurrently.
+    """
     start = clock()
-    inboxes, outboxes = build_channels(len(configs))
-    if sorted(cfg.island_id for cfg in configs) != list(inboxes):
+    if not configs or sorted(cfg.island_id for cfg in configs) != list(range(len(configs))):
         raise ValueError("island ids must be 0..N-1")
     results: list[IslandResult]
     if len(configs) == 1:
-        results = [run_island(configs[0], instance, None, None, clock)]
+        results = [run_island(configs[0], instance, clock=clock)]
     else:
-        with ThreadPoolExecutor(max_workers=thread_cap(len(configs))) as pool:
-            futures = [
-                pool.submit(
-                    run_island,
-                    cfg,
-                    instance,
-                    inboxes[cfg.island_id],
-                    outboxes[cfg.island_id],
-                    clock,
-                )
-                for cfg in configs
-            ]
+        inboxes = [queue.SimpleQueue() for _ in configs]
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            futures = [pool.submit(run_island, cfg, instance, inboxes, clock) for cfg in configs]
             results = [f.result() for f in futures]
     front = archive_merge([r.archive for r in results])
     return FleetResult(front=front, islands=results, wall_time=clock() - start)

@@ -103,7 +103,9 @@ class ExperimentConfig:
         return generate_uniform(self.gen_spec)
 
     def island_configs(self, trial_index: int) -> list[IslandConfig]:
-        n_p = self.population or default_population_size(self.island_count)
+        n_p = self.population
+        if n_p is None:
+            n_p = default_population_size(self.island_count)
         seed = trial_seed(self.base_seed, trial_index)
         return [
             IslandConfig(

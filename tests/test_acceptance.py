@@ -6,6 +6,7 @@ the captured output) and asserts the criterion at its stated tolerance.
 
 from __future__ import annotations
 
+import queue
 import random
 import threading
 import time
@@ -32,7 +33,7 @@ from mqap import (
 )
 from mqap.genetics import VariationParams
 from mqap.instance import InstanceSpec, generate_uniform
-from mqap.island import build_channels, run_fleet
+from mqap.island import run_fleet
 from mqap.localsearch import LocalSearchParams
 from mqap.metrics import non_dominated
 from mqap.runner import ExperimentConfig, enumerate_front, island_seed, run_experiment, trial_seed
@@ -241,15 +242,13 @@ def test_criterion_7_asynchrony_under_stall():
     baseline = run_fleet(inst, [config(i) for i in range(3)])
     baseline_wall = max(r.stats.wall_time for r in baseline.islands)
 
-    inboxes, outboxes = build_channels(4)
+    inboxes = [queue.SimpleQueue() for _ in range(4)]
     results: dict[int, object] = {}
 
     def island_thread(island_id, stall):
         if stall:
             time.sleep(10.0)
-        results[island_id] = run_island(
-            config(island_id), inst, inboxes[island_id], outboxes[island_id]
-        )
+        results[island_id] = run_island(config(island_id), inst, inboxes)
 
     threads = [
         threading.Thread(target=island_thread, args=(i, i == 3), daemon=True) for i in range(4)

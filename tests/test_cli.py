@@ -112,25 +112,6 @@ def test_default_population_sizing():
     assert default_population_size(1) == 100
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    from mqap.island import thread_cap
-
-    monkeypatch.setenv("MQAP_THREADS", "2")
-    assert thread_cap(8) == 2
-    monkeypatch.setenv("MQAP_THREADS", "0")
-    assert thread_cap(8) == 8
-    monkeypatch.setenv("MQAP_THREADS", "junk")
-    assert thread_cap(8) == 8
-    # A capped fleet still completes and merges.
-    monkeypatch.setenv("MQAP_THREADS", "1")
-    inst_path = _gen_instance(tmp_path, n=8)
-    out = tmp_path / "capped"
-    assert _run(["run", "--instance", inst_path, "--islands", 3, "--trials", 1,
-                 "--seed", 4, "--generations", 3, "--ls-secs", 0.02, "--out", out]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert len(manifest["trial_records"][0]["islands"]) == 3
-
-
 def test_single_island_runs_are_reproducible(tmp_path):
     inst_path = _gen_instance(tmp_path, n=9)
     args = ["run", "--instance", inst_path, "--islands", 1, "--trials", 2, "--seed", 11,
@@ -242,6 +223,8 @@ def _write_bad_inputs(directory):
         ["run", "--gen-spec", "m=2"],
         ["run", "--gen-spec", "n=1,m=2"],
         ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500],
+        ["run", "--gen-spec", "n=6,m=2", "--tournament-k", 0],
+        ["run", "--gen-spec", "n=6,m=2", "--population", 0],
         ["hv", "--front", "missing.front"],
         ["gen", "--n", 1, "--m", 2, "--out", "results"],
         ["gen", "--n", 5, "--m", 0, "--out", "results"],
@@ -258,6 +241,8 @@ def _write_bad_inputs(directory):
         "spec-without-n",
         "spec-n1",
         "migrants-over-capacity",
+        "tournament-k-0",
+        "population-0",
         "missing-front",
         "gen-n1",
         "gen-m0",

@@ -1,3 +1,4 @@
+import queue
 import threading
 import time
 
@@ -16,7 +17,7 @@ from mqap import (
 from mqap.evaluation import random_solution
 from mqap.genetics import VariationParams, tournament_select
 from mqap.instance import InstanceSpec, generate_uniform
-from mqap.island import MigrantBatch, Outboxes, build_channels
+from mqap.island import send_migrants
 from mqap.localsearch import LocalSearchParams
 from mqap.metrics import hypervolume, non_dominated, normalize_fronts, reference_point
 from mqap.ranking import rank_and_crowd
@@ -56,98 +57,98 @@ def test_zero_generations_archives_non_dominated_initials(algorithm):
     assert result.stats.generations == 0
 
 
-def test_memetic_archive_mutually_non_dominated():
-    result = run_island(_config(), _instance())
+@pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
+def test_archive_mutually_non_dominated(algorithm):
+    result = run_island(_config(algorithm=algorithm), _instance())
     members = result.archive.members
     assert members
     for a in members:
         assert not any(dominates(b.objectives, a.objectives) for b in members if b is not a)
 
 
-def test_nsga2_archive_mutually_non_dominated():
-    result = run_island(_config(algorithm="nsga2"), _instance())
-    members = result.archive.members
-    assert members
-    for a in members:
-        assert not any(dominates(b.objectives, a.objectives) for b in members if b is not a)
+def _inboxes(count):
+    return [queue.SimpleQueue() for _ in range(count)]
 
 
 @pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
 def test_send_event_count_matches_epoch(algorithm):
-    # Wired outboxes but a sequential run: exactly floor(g_max/epoch) sends.
-    inboxes, outboxes = build_channels(2)
-    result = run_island(
-        _config(algorithm=algorithm, g_max=12, epoch=5),
-        _instance(),
-        inboxes[0],
-        outboxes[0],
-    )
+    # Wired inboxes but a sequential run: exactly floor(g_max/epoch) sends.
+    result = run_island(_config(algorithm=algorithm, g_max=12, epoch=5), _instance(), _inboxes(2))
     assert result.stats.send_events == 2
     assert result.stats.migrants_sent == 2 * 2 * 1  # migrants x events x neighbors
 
 
 def test_migration_roundtrip_sequential():
     inst = _instance()
-    inboxes, outboxes = build_channels(2)
-    sender = run_island(
-        _config(island_id=0, epoch=1, g_max=4), inst, inboxes[0], outboxes[0]
-    )
+    inboxes = _inboxes(2)
+    sender = run_island(_config(island_id=0, epoch=1, g_max=4), inst, inboxes)
     assert sender.stats.send_events == 4
-    receiver = run_island(
-        _config(island_id=1, seed=4, epoch=1, g_max=4), inst, inboxes[1], outboxes[1]
-    )
+    receiver = run_island(_config(island_id=1, seed=4, epoch=1, g_max=4), inst, inboxes)
     assert receiver.stats.migrants_received >= sender.stats.migrants_sent / 1
     # Receiver's sends stay queued for island 0; they never block anything.
     assert check_migrants(inboxes[0])
 
 
 def test_check_migrants_drains_everything():
-    inboxes, _ = build_channels(2)
-    assert check_migrants(inboxes[0]) == []
+    inbox = queue.SimpleQueue()
+    assert check_migrants(inbox) == []
     inst = _instance(n=6)
     rng = Rng(0)
-    box = Outboxes({1: inboxes[0].queues[1]})
-    for gen in range(3):
-        box.send(1, [random_solution(inst, rng) for _ in range(2)], gen)
-    assert len(check_migrants(inboxes[0])) == 6
+    for _ in range(3):
+        assert send_migrants([inbox], [random_solution(inst, rng) for _ in range(2)]) == 2
+    assert len(check_migrants(inbox)) == 6
+    assert check_migrants(inbox) == []
+
+
+def test_one_drain_returns_every_senders_migrants():
+    inst = _instance(n=6)
+    inboxes = _inboxes(3)
+    batches = {
+        sender: [random_solution(inst, Rng(sender)) for _ in range(sender)] for sender in (1, 2)
+    }
+    for sender, solutions in batches.items():
+        neighbours = [q for i, q in enumerate(inboxes) if i != sender]
+        assert send_migrants(neighbours, solutions) == 2 * sender
+    received = check_migrants(inboxes[0])
+    expected = [s.objectives for sender in (1, 2) for s in batches[sender]]
+    assert sorted(s.objectives for s in received) == sorted(expected)
     assert check_migrants(inboxes[0]) == []
 
 
 def test_check_migrants_concurrent_with_sends():
-    inboxes, _ = build_channels(2)
     inst = _instance(n=6)
-    box = Outboxes({0: inboxes[0].queues[1]})
+    inbox = queue.SimpleQueue()
     total = 400
     received = []
 
     def producer():
         rng = Rng(5)
-        for gen in range(total):
-            box.send(1, [random_solution(inst, rng)], gen)
+        for _ in range(total):
+            send_migrants([inbox], [random_solution(inst, rng)])
 
     thread = threading.Thread(target=producer)
     thread.start()
     deadline = time.monotonic() + 20
     while len(received) < total and time.monotonic() < deadline:
-        received.extend(check_migrants(inboxes[0]))
+        received.extend(check_migrants(inbox))
     thread.join()
-    received.extend(check_migrants(inboxes[0]))
+    received.extend(check_migrants(inbox))
     assert len(received) == total
 
 
 def test_migrants_are_deep_copies():
     inst = _instance(n=6)
-    inboxes, outboxes = build_channels(2)
+    inboxes = _inboxes(2)
     original = random_solution(inst, Rng(7))
     sent_objectives = original.objectives
-    outboxes[0].send(0, [original], generation=1)
+    send_migrants(inboxes, [original])
     original.perm[0], original.perm[1] = original.perm[1], original.perm[0]
-    (batch,) = inboxes[1].drain()
-    assert isinstance(batch, MigrantBatch)
-    copy = batch.solutions[0]
-    assert copy is not original
-    assert copy.objectives == sent_objectives
-    assert not np.array_equal(copy.perm, original.perm)
+    first, second = (check_migrants(q)[0] for q in inboxes)
+    assert first is not original and second is not original and first is not second
+    assert first.perm is not second.perm
+    for copy in (first, second):
+        assert copy.objectives == sent_objectives
+        assert not np.array_equal(copy.perm, original.perm)
 
 
 def test_fleet_runs_and_merges():
@@ -172,6 +173,8 @@ def test_fleet_rejects_bad_island_ids():
     inst = _instance(n=6)
     with pytest.raises(ValueError):
         run_fleet(inst, [_config(island_id=3)])
+    with pytest.raises(ValueError):
+        run_fleet(inst, [])
 
 
 def test_single_island_determinism_in_memory():
