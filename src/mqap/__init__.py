@@ -10,7 +10,7 @@ from .evaluation import (
     make_solution,
     swap_delta_matrix,
 )
-from .genetics import Rng, VariationParams, cycle_crossover, swap_mutation, tournament_select
+from .genetics import Rng, cycle_crossover, swap_mutation, tournament_select
 from .instance import (
     Instance,
     InstanceSpec,
@@ -27,11 +27,7 @@ from .island import (
     run_island,
     send_migrants,
 )
-from .localsearch import (
-    LocalSearchParams,
-    dominance_based_local_search,
-    ordered_swap_neighborhood,
-)
+from .localsearch import dominance_based_local_search, ordered_swap_neighborhood
 from .metrics import hypervolume, normalize_fronts, reference_point, wilcoxon_rank_sum
 from .ranking import dominates, elitist_integration, front_crowding, pareto_ranks
 from .runner import ExperimentConfig, enumerate_front, run_experiment

@@ -27,25 +27,27 @@ from .runner import (
     write_front_file,
 )
 
-RUN_CONFIG_KEYS = {
-    "instance": str,
-    "gen_spec": str,
-    "algorithm": str,
-    "islands": int,
-    "trials": int,
-    "seed": int,
-    "generations": int,
-    "time_budget_secs": float,
-    "epoch": int,
-    "migrants": int,
-    "pc": float,
-    "pm": float,
-    "ls_secs": float,
-    "population": int,
-    "archive_capacity": int,
-    "tournament_k": int,
-    "out": str,
-    "parallel_trials": int,
+# flag/config key -> (ExperimentConfig attribute, value type); the flag is
+# "--" + key with dashes, e.g. time_budget_secs -> --time-budget-secs.
+RUN_OPTIONS = {
+    "instance": ("instance_path", str),
+    "gen_spec": ("gen_spec", str),  # parsed by parse_gen_spec once merged
+    "algorithm": ("algorithm", str),
+    "islands": ("island_count", int),
+    "trials": ("trials", int),
+    "seed": ("base_seed", int),
+    "generations": ("generations", int),
+    "time_budget_secs": ("time_budget", float),
+    "epoch": ("epoch", int),
+    "migrants": ("migrants", int),
+    "pc": ("pb_c", float),
+    "pm": ("pb_m", float),
+    "ls_secs": ("ls_secs", float),
+    "population": ("population", int),
+    "archive_capacity": ("archive_capacity", int),
+    "tournament_k": ("tournament_k", int),
+    "parallel_trials": ("parallel_trials", int),
+    "out": ("output_dir", str),
 }
 
 
@@ -64,9 +66,9 @@ def parse_config_file(path) -> dict:
             raise ValueError(f"config line {raw!r} is not key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in RUN_CONFIG_KEYS:
+        if key not in RUN_OPTIONS:
             raise ValueError(f"unknown config key {key!r}")
-        options[key] = RUN_CONFIG_KEYS[key](value.strip())
+        options[key] = RUN_OPTIONS[key][1](value.strip())
     return options
 
 
@@ -92,26 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mqap")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a multi-trial island experiment")
+    run_p = sub.add_parser(
+        "run",
+        help="run a multi-trial island experiment",
+        description="Every option is listed in docs/config-reference.md.",
+    )
     run_p.add_argument("--config", help="key=value config file; flags override it")
-    run_p.add_argument("--instance", help="instance file to solve")
-    run_p.add_argument("--gen-spec", help="generate the instance instead, e.g. n=30,m=2,correlation=0,seed=7")
-    run_p.add_argument("--algorithm", choices=[MEMETIC, NSGA2])
-    run_p.add_argument("--islands", type=int)
-    run_p.add_argument("--trials", type=int)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--generations", type=int)
-    run_p.add_argument("--time-budget-secs", type=float)
-    run_p.add_argument("--epoch", type=int)
-    run_p.add_argument("--migrants", type=int)
-    run_p.add_argument("--pc", type=float)
-    run_p.add_argument("--pm", type=float)
-    run_p.add_argument("--ls-secs", type=float)
-    run_p.add_argument("--population", type=int)
-    run_p.add_argument("--archive-capacity", type=int)
-    run_p.add_argument("--tournament-k", type=int)
-    run_p.add_argument("--parallel-trials", type=int)
-    run_p.add_argument("--out")
+    for key, (_, kind) in RUN_OPTIONS.items():
+        choices = [MEMETIC, NSGA2] if key == "algorithm" else None
+        run_p.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices)
 
     cmp_p = sub.add_parser("compare", help="compare result directories on one instance")
     cmp_p.add_argument("result_dirs", nargs="+")
@@ -137,41 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUN_FIELDS = {
-    # flag/config key -> ExperimentConfig attribute
-    "instance": "instance_path",
-    "algorithm": "algorithm",
-    "islands": "island_count",
-    "trials": "trials",
-    "seed": "base_seed",
-    "generations": "generations",
-    "time_budget_secs": "time_budget",
-    "epoch": "epoch",
-    "migrants": "migrants",
-    "pc": "pb_c",
-    "pm": "pb_m",
-    "ls_secs": "ls_secs",
-    "population": "population",
-    "archive_capacity": "archive_capacity",
-    "tournament_k": "tournament_k",
-    "out": "output_dir",
-    "parallel_trials": "parallel_trials",
-}
-
-
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     options = parse_config_file(args.config) if args.config else {}
-    for key in _RUN_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    gen_spec = options.pop("gen_spec", None)
-    if getattr(args, "gen_spec", None) is not None:
-        gen_spec = args.gen_spec
-    kwargs = {_RUN_FIELDS[key]: value for key, value in options.items()}
-    if gen_spec is not None:
-        kwargs["gen_spec"] = parse_gen_spec(gen_spec)
-    return ExperimentConfig(**kwargs)
+    flags = {key: getattr(args, key) for key in RUN_OPTIONS}
+    options.update((key, value) for key, value in flags.items() if value is not None)
+    if "gen_spec" in options:
+        options["gen_spec"] = parse_gen_spec(options["gen_spec"])
+    return ExperimentConfig(**{RUN_OPTIONS[key][0]: value for key, value in options.items()})
 
 
 def cmd_run(args) -> int:
@@ -182,7 +145,7 @@ def cmd_run(args) -> int:
     result = run_experiment(config)
     print(
         f"instance {result.instance_name}: {len(result.trials)} trial(s), "
-        f"{result.algorithm} x {result.island_count} island(s) -> {result.output_dir}"
+        f"{config.algorithm} x {config.island_count} island(s) -> {config.output_dir}"
     )
     for rec in result.trials:
         print(

@@ -7,7 +7,6 @@ outputs are reproducible per island.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,16 +14,6 @@ import numpy as np
 from .evaluation import Solution
 
 Rng = random.Random
-
-
-@dataclass(frozen=True)
-class VariationParams:
-    pb_c: float = 0.9
-    pb_m: float = 0.01
-
-    def __post_init__(self):
-        if not (0.0 <= self.pb_c <= 1.0 and 0.0 <= self.pb_m <= 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
 
 
 def cycle_crossover(p1: np.ndarray, p2: np.ndarray):

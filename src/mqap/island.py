@@ -13,22 +13,15 @@ import queue
 import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .archive import Archive, archive_merge
 from .evaluation import Solution, make_solution, random_solution
-from .genetics import (
-    Rng,
-    VariationParams,
-    cycle_crossover,
-    random_swap,
-    swap_mutation,
-    tournament_select,
-)
+from .genetics import Rng, cycle_crossover, random_swap, swap_mutation, tournament_select
 from .instance import Instance
-from .localsearch import Clock, LocalSearchParams, dominance_based_local_search
+from .localsearch import Clock, dominance_based_local_search
 from .ranking import Fitness, elitist_integration, rank_and_crowd
 
 MEMETIC = "memetic"
@@ -42,8 +35,9 @@ class IslandConfig:
     epoch: int = 5
     migrants: int = 2
     g_max: int = 100
-    variation: VariationParams = field(default_factory=VariationParams)
-    ls_params: LocalSearchParams = field(default_factory=LocalSearchParams)
+    pb_c: float = 0.9
+    pb_m: float = 0.01
+    ls_secs: float = 5.0
     algorithm: str = MEMETIC
     seed: int = 0
     time_budget: float | None = None
@@ -51,14 +45,25 @@ class IslandConfig:
     tournament_k: int = 2
 
     def __post_init__(self):
-        if self.population_size < 2 or self.epoch < 1 or self.migrants < 1:
-            raise ValueError("invalid island configuration")
+        for name, low in (
+            ("population_size", 2),
+            ("epoch", 1),
+            ("migrants", 1),
+            ("archive_capacity", 1),
+            ("g_max", 0),
+            ("tournament_k", 1),
+        ):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.migrants > self.archive_capacity:
-            raise ValueError("migrants may not exceed archive capacity")
-        if self.g_max < 0:
-            raise ValueError("g_max must be >= 0")
-        if self.tournament_k < 1:
-            raise ValueError("tournament_k must be >= 1")
+            raise ValueError(
+                f"migrants ({self.migrants}) may not exceed archive_capacity ({self.archive_capacity})"
+            )
+        for name in ("pb_c", "pb_m"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not self.ls_secs > 0:  # NaN too: it would switch local search off
+            raise ValueError(f"ls_secs must be positive, got {self.ls_secs}")
         if self.algorithm not in (MEMETIC, NSGA2):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
@@ -110,7 +115,6 @@ def _make_offspring(
     spends its evaluations on distinct candidates.  Without this the loop
     saturates with copies at small instance sizes and recombination stalls.
     """
-    params = config.variation
     offspring: list[Solution] = []
     seen: set[bytes] = set()
     attempts = 0
@@ -123,12 +127,12 @@ def _make_offspring(
             if p2 is not p1:
                 break
             p2 = tournament_select(population, config.tournament_k, fitness, rng)
-        if rng.random() < params.pb_c:
+        if rng.random() < config.pb_c:
             c1, c2 = cycle_crossover(p1.perm, p2.perm)
         else:
             c1, c2 = p1.perm.copy(), p2.perm.copy()
         for child in (c1, c2):
-            child = swap_mutation(child, params.pb_m, rng)
+            child = swap_mutation(child, config.pb_m, rng)
             if np.array_equal(child, p1.perm) or np.array_equal(child, p2.perm):
                 child = random_swap(child, rng)
             key = child.tobytes()
@@ -201,7 +205,7 @@ def run_island(
         archive.insert(offspring)
         if config.algorithm == MEMETIC:
             improved = dominance_based_local_search(
-                archive, config.ls_params, instance, rng, clock, extra=offspring
+                archive, config.ls_secs, instance, rng, clock, extra=offspring
             )
             pool = _distinct_permutations(improved)
             archive.insert(pool)
@@ -246,18 +250,15 @@ def run_fleet(
 ) -> FleetResult:
     """Run one fleet on the complete migration graph, join, and merge archives.
 
-    Every island runs on its own thread, so all of them migrate concurrently.
+    Every island runs on its own thread with its own inbox queue, so all of
+    them migrate concurrently; a lone island has no neighbours to send to.
     """
     start = clock()
     if not configs or sorted(cfg.island_id for cfg in configs) != list(range(len(configs))):
         raise ValueError("island ids must be 0..N-1")
-    results: list[IslandResult]
-    if len(configs) == 1:
-        results = [run_island(configs[0], instance, clock=clock)]
-    else:
-        inboxes = [queue.SimpleQueue() for _ in configs]
-        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
-            futures = [pool.submit(run_island, cfg, instance, inboxes, clock) for cfg in configs]
-            results = [f.result() for f in futures]
+    inboxes = [queue.SimpleQueue() for _ in configs]
+    with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+        futures = [pool.submit(run_island, cfg, instance, inboxes, clock) for cfg in configs]
+        results = [f.result() for f in futures]
     front = archive_merge([r.archive for r in results])
     return FleetResult(front=front, islands=results, wall_time=clock() - start)

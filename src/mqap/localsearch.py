@@ -10,7 +10,6 @@ wall-clock budget runs out or no unvisited solutions remain.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -21,15 +20,6 @@ from .genetics import Rng
 from .instance import Instance
 
 Clock = Callable[[], float]
-
-
-@dataclass(frozen=True)
-class LocalSearchParams:
-    t_max: float = 5.0
-
-    def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("local search budget must be positive")
 
 
 def ordered_swap_neighborhood(n: int) -> Iterator[tuple[int, int]]:
@@ -60,7 +50,7 @@ def first_dominating_swap(
 
 def dominance_based_local_search(
     archive: Archive,
-    params: LocalSearchParams,
+    t_max: float,
     instance: Instance,
     rng: Rng,
     clock: Clock = time.monotonic,
@@ -72,7 +62,7 @@ def dominance_based_local_search(
     ``extra`` seeds, typically the generation's offspring, which get
     improved on the same terms) and every accepted dominating neighbor.
     Elapsed time is checked at the loop head only, so one neighborhood scan
-    may overshoot the budget.
+    may overshoot the ``t_max``-second budget.
     """
     population = list(archive.members)
     member_ids = set(map(id, population))
@@ -81,7 +71,7 @@ def dominance_based_local_search(
     # Unscanned members in population order: the drawn one leaves, an
     # accepted neighbour joins at the end.
     unvisited = list(population)
-    while unvisited and clock() - start < params.t_max:
+    while unvisited and clock() - start < t_max:
         sol = unvisited.pop(rng.randrange(len(unvisited)))
         found = first_dominating_swap(instance, sol)
         if found is not None:

@@ -12,7 +12,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,6 @@ from . import metrics
 from .evaluation import Solution
 from .instance import Instance, InstanceFormatError, InstanceSpec, generate_uniform, load_instance
 from .island import MEMETIC, IslandConfig, IslandStats, run_fleet
-from .genetics import VariationParams
-from .localsearch import LocalSearchParams
 
 MANIFEST_NAME = "manifest.json"
 REFERENCE_OFFSET = 0.01
@@ -89,12 +87,15 @@ class ExperimentConfig:
     parallel_trials: int = 1
 
     def __post_init__(self):
-        if self.trials < 1 or self.island_count < 1:
-            raise ValueError("trials and island_count must be >= 1")
+        for name in ("trials", "island_count", "parallel_trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.instance_path is None and self.gen_spec is None:
             raise ValueError("either an instance path or a generator spec is required")
         if self.time_budget is not None and self.time_budget <= 0:
             self.time_budget = None
+        if self.population is None:
+            self.population = default_population_size(self.island_count)
         self.island_configs(0)  # ValueError on invalid island parameters
 
     def resolve_instance(self) -> Instance:
@@ -103,19 +104,17 @@ class ExperimentConfig:
         return generate_uniform(self.gen_spec)
 
     def island_configs(self, trial_index: int) -> list[IslandConfig]:
-        n_p = self.population
-        if n_p is None:
-            n_p = default_population_size(self.island_count)
         seed = trial_seed(self.base_seed, trial_index)
         return [
             IslandConfig(
                 island_id=i,
-                population_size=n_p,
+                population_size=self.population,
                 epoch=self.epoch,
                 migrants=self.migrants,
                 g_max=self.generations,
-                variation=VariationParams(pb_c=self.pb_c, pb_m=self.pb_m),
-                ls_params=LocalSearchParams(t_max=self.ls_secs),
+                pb_c=self.pb_c,
+                pb_m=self.pb_m,
+                ls_secs=self.ls_secs,
                 algorithm=self.algorithm,
                 seed=island_seed(seed, i),
                 time_budget=self.time_budget,
@@ -139,10 +138,6 @@ class TrialRecord:
 @dataclass
 class RunResult:
     instance_name: str
-    algorithm: str
-    island_count: int
-    base_seed: int
-    output_dir: str
     trials: list[TrialRecord] = field(default_factory=list)
 
 
@@ -194,13 +189,7 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic) -> RunResult:
     except OSError as exc:
         raise OutputWriteError(f"cannot create {out_dir}: {exc}") from exc
 
-    result = RunResult(
-        instance_name=instance.name or "unnamed",
-        algorithm=config.algorithm,
-        island_count=config.island_count,
-        base_seed=config.base_seed,
-        output_dir=str(out_dir),
-    )
+    result = RunResult(instance_name=instance.name or "unnamed")
 
     def one_trial(index: int) -> TrialRecord:
         fleet = run_fleet(instance, fleets[index], clock)
@@ -234,34 +223,9 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic) -> RunResult:
 
     manifest = {
         "instance": result.instance_name,
-        "algorithm": result.algorithm,
-        "islands": result.island_count,
-        "trials": config.trials,
-        "base_seed": config.base_seed,
-        "generations": config.generations,
-        "epoch": config.epoch,
-        "migrants": config.migrants,
-        "trial_records": [
-            {
-                "trial": rec.trial,
-                "seed": rec.seed,
-                "front_file": rec.front_file,
-                "front_size": rec.front_size,
-                "wall_time": rec.wall_time,
-                "islands": [
-                    {
-                        "island_id": st.island_id,
-                        "generations": st.generations,
-                        "migrants_sent": st.migrants_sent,
-                        "migrants_received": st.migrants_received,
-                        "send_events": st.send_events,
-                        "wall_time": st.wall_time,
-                    }
-                    for st in rec.islands
-                ],
-            }
-            for rec in result.trials
-        ],
+        "islands": config.island_count,
+        **asdict(config),
+        "trial_records": [asdict(rec) for rec in result.trials],
     }
     try:
         (out_dir / MANIFEST_NAME).write_text(

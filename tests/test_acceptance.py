@@ -31,10 +31,8 @@ from mqap import (
     run_island,
     wilcoxon_rank_sum,
 )
-from mqap.genetics import VariationParams
 from mqap.instance import InstanceSpec, generate_uniform
 from mqap.island import run_fleet
-from mqap.localsearch import LocalSearchParams
 from mqap.metrics import non_dominated
 from mqap.runner import ExperimentConfig, enumerate_front, island_seed, run_experiment, trial_seed
 
@@ -139,8 +137,7 @@ def test_criterion_5_small_instance_optimality():
                 island_id=0,
                 population_size=20,
                 g_max=50,
-                variation=VariationParams(),
-                ls_params=LocalSearchParams(t_max=0.5),
+                ls_secs=0.5,
                 seed=island_seed(trial_seed(100 + inst_seed, trial), 0),
             )
             result = run_island(config, inst)
@@ -234,8 +231,7 @@ def test_criterion_7_asynchrony_under_stall():
             epoch=5,
             migrants=2,
             g_max=20,
-            variation=VariationParams(),
-            ls_params=LocalSearchParams(t_max=0.05),
+            ls_secs=0.05,
             seed=7000 + island_id,
         )
 
@@ -287,8 +283,7 @@ def test_criterion_8_directional_comparison_reported():
                 epoch=5,
                 migrants=2,
                 g_max=30,
-                variation=VariationParams(),
-                ls_params=LocalSearchParams(t_max=1.0),
+                ls_secs=1.0,
                 algorithm=algorithm,
                 seed=island_seed(trial_seed(500, pair_seed), i),
             )

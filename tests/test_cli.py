@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from mqap import Solution, load_instance
 from mqap.cli import build_parser, main, parse_config_file, parse_gen_spec
 from mqap.runner import (
+    ExperimentConfig,
     InstanceMismatchError,
     TooLargeError,
+    default_population_size,
     enumerate_front,
     load_result_set,
     read_front_file,
@@ -106,8 +109,6 @@ def test_migrant_counters_eleven_islands(tmp_path):
 
 
 def test_default_population_sizing():
-    from mqap.runner import default_population_size
-
     assert [default_population_size(k) for k in (5, 8, 11, 16, 21)] == [20, 13, 10, 13, 13]
     assert default_population_size(1) == 100
 
@@ -225,6 +226,9 @@ def _write_bad_inputs(directory):
         ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500],
         ["run", "--gen-spec", "n=6,m=2", "--tournament-k", 0],
         ["run", "--gen-spec", "n=6,m=2", "--population", 0],
+        ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--parallel-trials", 0],
+        ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--parallel-trials", -3],
+        ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--ls-secs", "nan"],
         ["hv", "--front", "missing.front"],
         ["gen", "--n", 1, "--m", 2, "--out", "results"],
         ["gen", "--n", 5, "--m", 0, "--out", "results"],
@@ -243,6 +247,9 @@ def _write_bad_inputs(directory):
         "migrants-over-capacity",
         "tournament-k-0",
         "population-0",
+        "parallel-trials-0",
+        "parallel-trials-negative",
+        "ls-secs-nan",
         "missing-front",
         "gen-n1",
         "gen-m0",
@@ -263,6 +270,36 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, ar
     assert _run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [("archive_capacity", 0), ("epoch", 0), ("migrants", 0), ("population", 1), ("parallel_trials", 0)],
+    ids=lambda v: str(v),
+)
+def test_bad_run_setting_is_named_in_the_error(tmp_path, capsys, setting, value):
+    # One short trial, so a setting that slips through fails fast.
+    flag = "--" + setting.replace("_", "-")
+    argv = ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, flag, value,
+            "--out", tmp_path / "results"]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting in err
+
+
+def test_manifest_holds_every_resolved_setting(tmp_path):
+    out = tmp_path / "results"
+    _run(["run", "--gen-spec", "n=6,m=2,seed=4", "--islands", 2, "--trials", 1,
+          "--generations", 2, "--pc", 0.7, "--ls-secs", 0.05, "--out", out])
+    manifest = json.loads((out / "manifest.json").read_text())
+    for setting in fields(ExperimentConfig):
+        assert setting.name in manifest, setting.name
+    assert manifest["islands"] == manifest["island_count"] == 2
+    assert manifest["population"] == default_population_size(2)
+    assert (manifest["pb_c"], manifest["pb_m"], manifest["ls_secs"]) == (0.7, 0.01, 0.05)
+    assert manifest["gen_spec"]["n"] == 6 and manifest["instance_path"] is None
+    stats = manifest["trial_records"][0]["islands"]
+    assert [st["island_id"] for st in stats] == [0, 1]
 
 
 def test_compare_set_with_itself(tmp_path, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mqap import parse_instance
-from mqap.cli import build_parser, main
+from mqap.cli import RUN_OPTIONS, build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
@@ -46,6 +46,12 @@ def test_instance_format_example_parses():
     assert inst.n == 2 and inst.m == 1 and inst.name == "tiny"
 
 
+def _run_table_rows(text: str) -> list[tuple[str, str]]:
+    """(flag, config key) of every row in the `mqap run` table."""
+    section = text.split("## `mqap run`", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(--[a-z-]+)` \| `?([a-z_-]+)`? \|", section, flags=re.MULTILINE)
+
+
 def test_config_reference_lists_every_run_flag():
     text = (REPO / "docs" / "config-reference.md").read_text(encoding="utf-8")
     parser = build_parser()
@@ -56,6 +62,15 @@ def test_config_reference_lists_every_run_flag():
                 if flag in ("-h", "--help"):
                     continue
                 assert flag in text, f"{name} flag {flag} missing from config reference"
+    # The other direction: every documented `run` row names a live flag and key.
+    run_flags = {f for a in subparsers.choices["run"]._actions for f in a.option_strings}
+    rows = _run_table_rows(text)
+    assert len(rows) == len(RUN_OPTIONS) + 1  # plus --config, which has no key
+    for flag, key in rows:
+        assert flag in run_flags, f"documented flag {flag} is not a run flag"
+        if flag != "--config":
+            assert key in RUN_OPTIONS, f"documented config key {key} is not a run option"
+            assert flag == "--" + key.replace("_", "-")
 
 
 def test_reproduction_guide_includes_oracle_experiment():

@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mqap import Rng, Solution, cycle_crossover, swap_mutation, tournament_select
-from mqap.genetics import VariationParams
+from mqap import IslandConfig, Rng, Solution, cycle_crossover, swap_mutation, tournament_select
 
 REF_P1 = [8, 4, 7, 3, 6, 2, 5, 1, 9, 0]
 REF_P2 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
@@ -139,7 +138,7 @@ def test_tournament_empty_pool():
 
 
 def test_variation_params_validation():
-    with pytest.raises(ValueError):
-        VariationParams(pb_c=1.2)
-    with pytest.raises(ValueError):
-        VariationParams(pb_m=-0.1)
+    with pytest.raises(ValueError, match="pb_c"):
+        IslandConfig(pb_c=1.2)
+    with pytest.raises(ValueError, match="pb_m"):
+        IslandConfig(pb_m=-0.1)

@@ -15,10 +15,9 @@ from mqap import (
     run_island,
 )
 from mqap.evaluation import random_solution
-from mqap.genetics import VariationParams, tournament_select
+from mqap.genetics import tournament_select
 from mqap.instance import InstanceSpec, generate_uniform
 from mqap.island import send_migrants
-from mqap.localsearch import LocalSearchParams
 from mqap.metrics import hypervolume, non_dominated, normalize_fronts, reference_point
 from mqap.ranking import rank_and_crowd
 
@@ -32,8 +31,9 @@ def _config(**overrides):
         epoch=5,
         migrants=2,
         g_max=5,
-        variation=VariationParams(pb_c=0.9, pb_m=0.05),
-        ls_params=LocalSearchParams(t_max=0.05),
+        pb_c=0.9,
+        pb_m=0.05,
+        ls_secs=0.05,
         seed=3,
         archive_capacity=50,
     )
@@ -179,7 +179,7 @@ def test_fleet_rejects_bad_island_ids():
 
 def test_single_island_determinism_in_memory():
     inst = _instance(n=9)
-    config = _config(g_max=6, ls_params=LocalSearchParams(t_max=5.0))
+    config = _config(g_max=6, ls_secs=5.0)
     a = run_island(config, inst)
     b = run_island(config, inst)
     key = lambda r: sorted((s.objectives, tuple(s.perm.tolist())) for s in r.archive.members)  # noqa: E731
@@ -194,7 +194,7 @@ def test_population_size_restored_every_generation():
 
 
 def test_time_budget_halts_early():
-    config = _config(g_max=10_000, time_budget=0.3, ls_params=LocalSearchParams(t_max=0.01))
+    config = _config(g_max=10_000, time_budget=0.3, ls_secs=0.01)
     start = time.monotonic()
     result = run_island(config, _instance(n=12))
     assert time.monotonic() - start < 5.0
@@ -220,7 +220,7 @@ def test_memetic_beats_baseline_on_paired_seeds():
                 seed=1000 + seed,
                 g_max=15,
                 population_size=12,
-                ls_params=LocalSearchParams(t_max=0.1),
+                ls_secs=0.1,
             )
             results[algorithm] = run_island(config, inst)
         fronts = [
@@ -242,7 +242,7 @@ def test_refilled_population_is_ranked_before_its_tournaments(algorithm, monkeyp
         population_size=30,
         archive_capacity=2,
         g_max=15,
-        ls_params=LocalSearchParams(t_max=1e6),
+        ls_secs=1e6,
     )
     checks = []
     draws = []

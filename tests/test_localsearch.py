@@ -14,7 +14,7 @@ from mqap import (
     make_solution,
     ordered_swap_neighborhood,
 )
-from mqap.localsearch import LocalSearchParams, first_dominating_swap
+from mqap.localsearch import first_dominating_swap
 
 from conftest import random_instance
 
@@ -78,7 +78,7 @@ def test_accepts_lowest_pair_in_scan_order(np_rng):
         archive = Archive(capacity=10)
         archive.insert([sol])
         result = dominance_based_local_search(
-            archive, LocalSearchParams(t_max=5.0), inst, Rng(seed)
+            archive, 5.0, inst, Rng(seed)
         )
         i, j, _ = oracle
         expected_perm = sol.perm.copy()
@@ -105,7 +105,7 @@ def test_locally_optimal_solution_returned_unchanged(np_rng, monkeypatch):
     archive = Archive(capacity=10)
     archive.insert([sol])
     scanned = _record_scans(monkeypatch)
-    result = dominance_based_local_search(archive, LocalSearchParams(t_max=5.0), inst, Rng(1))
+    result = dominance_based_local_search(archive, 5.0, inst, Rng(1))
     assert result == [sol]
     assert scanned == [sol]
 
@@ -116,7 +116,7 @@ def test_tiny_budget_returns_archive_contents(np_rng):
     archive.insert([make_solution(inst, np_rng.permutation(8)) for _ in range(40)])
     start = time.monotonic()
     result = dominance_based_local_search(
-        archive, LocalSearchParams(t_max=1e-9), inst, Rng(0)
+        archive, 1e-9, inst, Rng(0)
     )
     assert time.monotonic() - start < 1.0
     assert set(map(id, archive.members)) <= set(map(id, result))
@@ -131,7 +131,7 @@ def test_budget_respected_with_logical_clock(np_rng, monkeypatch):
     clock = lambda: next(ticks)  # noqa: E731 - 1s per observation
     scanned = _record_scans(monkeypatch)
     dominance_based_local_search(
-        archive, LocalSearchParams(t_max=5.0), inst, Rng(3), clock=clock
+        archive, 5.0, inst, Rng(3), clock=clock
     )
     # Loop head sees elapsed 1, 2, ... so at most 5 solutions get scanned.
     assert len(scanned) <= 5
@@ -142,7 +142,7 @@ def test_accepted_neighbors_dominate_a_one_swap_origin(np_rng):
     archive = Archive(capacity=30)
     archive.insert([make_solution(inst, np_rng.permutation(7)) for _ in range(10)])
     initial = len(archive.members)
-    result = dominance_based_local_search(archive, LocalSearchParams(t_max=5.0), inst, Rng(9))
+    result = dominance_based_local_search(archive, 5.0, inst, Rng(9))
     for added in result[initial:]:
         assert added.objectives == evaluate_full(inst, added.perm)
         origins = [
@@ -159,7 +159,7 @@ def test_all_members_visited_on_exhaustion(np_rng, monkeypatch):
     archive = Archive(capacity=20)
     archive.insert([make_solution(inst, np_rng.permutation(6)) for _ in range(8)])
     scanned = _record_scans(monkeypatch)
-    result = dominance_based_local_search(archive, LocalSearchParams(t_max=10.0), inst, Rng(2))
+    result = dominance_based_local_search(archive, 10.0, inst, Rng(2))
     # Each member is scanned exactly once.
     assert len(scanned) == len(result)
     assert set(map(id, scanned)) == set(map(id, result))
