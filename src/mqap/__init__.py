@@ -5,7 +5,6 @@ from .evaluation import (
     ObjectiveVector,
     Solution,
     apply_swap,
-    evaluate_delta,
     evaluate_full,
     make_solution,
     swap_delta_matrix,
@@ -27,7 +26,7 @@ from .island import (
     run_island,
     send_migrants,
 )
-from .localsearch import dominance_based_local_search, ordered_swap_neighborhood
+from .localsearch import dominance_based_local_search
 from .metrics import hypervolume, normalize_fronts, reference_point, wilcoxon_rank_sum
 from .ranking import dominates, elitist_integration, front_crowding, pareto_ranks
 from .runner import ExperimentConfig, enumerate_front, run_experiment

@@ -1,13 +1,15 @@
-"""Objective evaluation: full cost sums and incremental swap deltas.
+"""Objective evaluation: full cost sums and whole-neighbourhood swap deltas.
 
 Costs are exact 64-bit integers.  For a permutation ``perm`` mapping each
-location to the facility placed there, the r-th cost is
+location to the facility placed there, with d = distances and
+F = flows[r][perm][:, perm], the r-th cost is sum_ij d[i, j] * F[i, j].
+Exchanging the facilities at locations i and j changes it by
 
-    sum_ij distances[i, j] * flows[r][perm[i], perm[j]]
+    S[i, j] + S[j, i] - S[i, i] - S[j, j] + E[i, j] * G[i, j]
 
-Exchanging the facilities at two locations changes each cost by a closed
-form that only touches the two swapped rows and columns, which is what
-makes neighborhood scans affordable.
+where S = d^T F + d F^T pairs location i's distances with the flows of the
+facility at j over every k, and E[i, j] = d_ii + d_jj - d_ij - d_ji times
+G[i, j] = F_ii + F_jj - F_ij - F_ji corrects the k in {i, j} terms exactly.
 """
 
 from __future__ import annotations
@@ -56,70 +58,28 @@ def make_solution(instance: Instance, perm) -> Solution:
 
 
 def random_solution(instance: Instance, rng) -> Solution:
-    perm = np.array(rng.sample(range(instance.n), instance.n), dtype=np.int64)
-    return Solution(perm=perm, objectives=evaluate_full(instance, perm))
-
-
-def evaluate_delta(instance: Instance, sol: Solution, i: int, j: int) -> ObjectiveVector:
-    """Objective change from exchanging the facilities at locations i and j.
-
-    Returns delta such that evaluating the swapped permutation equals
-    ``sol.objectives + delta`` componentwise, in O(m*n) time.  Diagonal and
-    cross terms are kept so non-zero diagonals and asymmetric matrices are
-    handled exactly.
-    """
-    n = instance.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise DimensionMismatchError(f"swap positions ({i}, {j}) out of range for n={n}")
-    if i == j:
-        return (0,) * instance.m
-
-    d = instance.distances
-    p = sol.perm
-    pi, pj = int(p[i]), int(p[j])
-    out = []
-    for f in instance.flows:
-        diag = (int(d[i, i]) - int(d[j, j])) * (int(f[pj, pj]) - int(f[pi, pi]))
-        cross = (int(d[i, j]) - int(d[j, i])) * (int(f[pj, pi]) - int(f[pi, pj]))
-        col = (d[:, i] - d[:, j]) * (f[p, pj] - f[p, pi])
-        row = (d[i, :] - d[j, :]) * (f[pj, p] - f[pi, p])
-        both = col + row
-        rest = int(both.sum()) - int(both[i]) - int(both[j])
-        out.append(diag + cross + rest)
-    return tuple(out)
+    return make_solution(instance, rng.sample(range(instance.n), instance.n))
 
 
 def swap_delta_matrix(instance: Instance, perm: np.ndarray) -> np.ndarray:
     """Deltas for every location pair at once, shape (m, n, n).
 
-    Entry [r, i, j] equals ``evaluate_delta(instance, sol, i, j)[r]``; built
-    from two matrix products plus broadcast corrections for the k in {i, j}
-    terms, so a whole neighborhood costs O(m*n^2) array work instead of
-    n^2/2 separate O(m*n) calls.
+    Entry [r, i, j] is the change of cost r when the facilities at locations
+    i and j are exchanged: symmetric, with a zero diagonal.  S for all m
+    objectives is one (n, 2n) @ (m, 2n, n) product of
+    ``[d^T | d]`` and ``[F; F^T]`` in the dtype ``Instance.swap_operands``
+    proved exact, cast straight back to int64.
     """
-    d = instance.distances
+    ops = instance.swap_operands
     p = np.asarray(perm, dtype=np.int64)
-    n = instance.n
-    dd = np.diagonal(d)
-    out = np.empty((instance.m, n, n), dtype=np.int64)
-    for r, f in enumerate(instance.flows):
-        fp = f[p][:, p]
-        fd = np.diagonal(fp)
-        a = d.T @ fp
-        b = d @ fp.T
-        ad = np.diagonal(a)
-        bd = np.diagonal(b)
-        t0 = (dd[:, None] - dd[None, :]) * (fd[None, :] - fd[:, None])
-        t1 = (d - d.T) * (fp.T - fp)
-        sum_col = a + a.T - ad[:, None] - ad[None, :]
-        sum_row = b + b.T - bd[:, None] - bd[None, :]
-        # k = i and k = j contributions included in the products above.
-        g_i = (dd[:, None] - d) * (fp - fd[:, None])
-        g_j = (d.T - dd[None, :]) * (fd[None, :] - fp.T)
-        h_i = (dd[:, None] - d.T) * (fp.T - fd[:, None])
-        h_j = (d - dd[None, :]) * (fd[None, :] - fp)
-        out[r] = t0 + t1 + sum_col + sum_row - g_i - g_j - h_i - h_j
-    return out
+    f = ops.flows.take(p, axis=1).take(p, axis=2)  # C-contiguous, unlike [:, p][:, :, p]
+    stacked = np.concatenate((f, f.transpose(0, 2, 1)), axis=1, dtype=ops.d_cat.dtype)
+    s = (ops.d_cat @ stacked).astype(np.int64, copy=False)
+    sd = np.diagonal(s, axis1=1, axis2=2)
+    fd = np.diagonal(f, axis1=1, axis2=2)
+    # E and G are symmetric, so W + W^T is the closed form above.
+    w = s - sd[:, :, None] + ops.e * (fd[:, :, None] - f)
+    return w + w.transpose(0, 2, 1)
 
 
 def apply_swap(sol: Solution, i: int, j: int, delta: ObjectiveVector) -> Solution:

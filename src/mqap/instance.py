@@ -9,13 +9,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import IO
+from functools import cached_property
+from typing import IO, NamedTuple
 
 import numpy as np
 
 # With n <= 100 and entries <= 10^4 the largest objective is ~1e12, far
 # below 2^63.  The load-time guard below enforces the general bound.
 _INT64_SAFE = 2**62
+_FLOAT64_EXACT = 2**53  # float64 adds non-negative integers exactly up to here
+
+
+class SwapOperands(NamedTuple):
+    """The operands of ``evaluation.swap_delta_matrix`` that depend only on the instance."""
+
+    flows: np.ndarray  # (m, n, n) stacked flow matrices
+    d_cat: np.ndarray  # (n, 2n) [d.T | d] in the product dtype
+    e: np.ndarray  # (n, n) E[i, j] = d_ii + d_jj - d_ij - d_ji
 
 
 class InstanceFormatError(ValueError):
@@ -72,6 +82,23 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.flows)
+
+    @cached_property
+    def swap_operands(self) -> SwapOperands:
+        """Built on the first neighbourhood scan, so NSGA-II runs never pay for it.
+
+        The kernel's product sums 2n terms of at most max_d * max_f each:
+        float64 BLAS is exact while that total stays below 2^53.
+        """
+        d, n = self.distances, self.n
+        flows = np.stack(self.flows)
+        exact = 2 * n * int(d.max()) * int(flows.max()) < _FLOAT64_EXACT
+        dd = np.diagonal(d)
+        return SwapOperands(
+            flows=flows,
+            d_cat=np.concatenate((d.T, d), axis=1, dtype=np.float64 if exact else np.int64),
+            e=dd[:, None] + dd[None, :] - d - d.T,
+        )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Dominance-based local search over the ordered swap neighborhood.
 
+The neighborhood of a permutation is every location pair (i, j) with
+i < j, scanned in row-major order: (0,1), (0,2), ..., (n-2,n-1).
+
 Starting from the archive contents, unvisited solutions are drawn at
 random; the first neighbor that Pareto-dominates the current solution is
 accepted (its objectives come from the swap delta, never a re-evaluation)
@@ -10,9 +13,7 @@ wall-clock budget runs out or no unvisited solutions remain.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .archive import Archive
 from .evaluation import Solution, apply_swap, swap_delta_matrix
@@ -20,13 +21,6 @@ from .genetics import Rng
 from .instance import Instance
 
 Clock = Callable[[], float]
-
-
-def ordered_swap_neighborhood(n: int) -> Iterator[tuple[int, int]]:
-    """Location pairs in scan order: (0,1), (0,2), ..., (n-2,n-1)."""
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            yield (i, j)
 
 
 def first_dominating_swap(
@@ -39,13 +33,15 @@ def first_dominating_swap(
     matrix and only the winning pair is materialized.
     """
     deltas = swap_delta_matrix(instance, sol.perm)
-    improving = np.logical_and((deltas <= 0).all(axis=0), (deltas < 0).any(axis=0))
-    improving[np.tril_indices(instance.n)] = False
-    hits = np.argwhere(improving)
-    if hits.size == 0:
+    improving = (deltas <= 0).all(axis=0) & (deltas < 0).any(axis=0)
+    # argmax gives the first True (i, j) in row-major order.  The deltas are
+    # symmetric with a zero diagonal, so i < j: were j < i, the mirror (j, i)
+    # would be True in an earlier row.  That is the first pair in scan order.
+    first = int(improving.argmax())
+    if not improving.flat[first]:
         return None
-    i, j = int(hits[0][0]), int(hits[0][1])
-    return i, j, tuple(int(deltas[r, i, j]) for r in range(instance.m))
+    i, j = divmod(first, instance.n)
+    return i, j, tuple(int(x) for x in deltas[:, i, j])
 
 
 def dominance_based_local_search(

@@ -87,15 +87,27 @@ class ExperimentConfig:
     parallel_trials: int = 1
 
     def __post_init__(self):
-        for name in ("trials", "island_count", "parallel_trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, value, low in (
+            ("trials", self.trials, 1),
+            ("island_count", self.island_count, 1),
+            ("parallel_trials", self.parallel_trials, 1),
+            ("generations", self.generations, 0),
+            # random.Random seeds with abs(), so seed -s would replay seed s.
+            ("seed", self.base_seed, 0),
+        ):
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.instance_path is None and self.gen_spec is None:
             raise ValueError("either an instance path or a generator spec is required")
-        if self.time_budget is not None and self.time_budget <= 0:
-            self.time_budget = None
+        if self.time_budget is not None:
+            if math.isnan(self.time_budget):  # no clock reading is >= NaN
+                raise ValueError("time_budget_secs must be a number, got nan")
+            if self.time_budget <= 0:
+                self.time_budget = None
         if self.population is None:
             self.population = default_population_size(self.island_count)
+        if self.population < 2:
+            raise ValueError(f"population must be >= 2, got {self.population}")
         self.island_configs(0)  # ValueError on invalid island parameters
 
     def resolve_instance(self) -> Instance:

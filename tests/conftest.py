@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mqap import Instance, Solution, dominates
+from mqap.evaluation import DimensionMismatchError
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int, hi: int = 50) -> Instance:
@@ -24,6 +25,39 @@ def naive_objectives(instance: Instance, perm) -> tuple[int, ...]:
                 total += int(instance.distances[i, j]) * int(f[perm[i], perm[j]])
         out.append(total)
     return tuple(out)
+
+
+def evaluate_delta(instance: Instance, sol: Solution, i: int, j: int) -> tuple[int, ...]:
+    """Per-pair swap delta oracle in O(m*n), with Python-int diagonal and cross terms.
+
+    Evaluating the swapped permutation equals ``sol.objectives + delta``
+    componentwise; non-zero diagonals and asymmetric matrices are handled.
+    """
+    n = instance.n
+    if not (0 <= i < n and 0 <= j < n):
+        raise DimensionMismatchError(f"swap positions ({i}, {j}) out of range for n={n}")
+    if i == j:
+        return (0,) * instance.m
+    d = instance.distances
+    p = sol.perm
+    pi, pj = int(p[i]), int(p[j])
+    out = []
+    for f in instance.flows:
+        diag = (int(d[i, i]) - int(d[j, j])) * (int(f[pj, pj]) - int(f[pi, pi]))
+        cross = (int(d[i, j]) - int(d[j, i])) * (int(f[pj, pi]) - int(f[pi, pj]))
+        col = (d[:, i] - d[:, j]) * (f[p, pj] - f[p, pi])
+        row = (d[i, :] - d[j, :]) * (f[pj, p] - f[pi, p])
+        both = col + row
+        rest = int(both.sum()) - int(both[i]) - int(both[j])
+        out.append(diag + cross + rest)
+    return tuple(out)
+
+
+def ordered_swap_neighborhood(n: int):
+    """Location pairs in scan order: (0,1), (0,2), ..., (n-2,n-1)."""
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            yield (i, j)
 
 
 def repeated_filter_ranks(objectives: list[tuple[int, ...]]) -> list[int]:

@@ -21,7 +21,6 @@ from mqap import (
     Solution,
     cycle_crossover,
     dominates,
-    evaluate_delta,
     evaluate_full,
     hypervolume,
     make_solution,
@@ -29,6 +28,7 @@ from mqap import (
     pareto_ranks,
     reference_point,
     run_island,
+    swap_delta_matrix,
     wilcoxon_rank_sum,
 )
 from mqap.instance import InstanceSpec, generate_uniform
@@ -54,7 +54,7 @@ def test_criterion_1_delta_exactness():
         inst = random_instance(rng, n, m, hi=100)
         sol = make_solution(inst, rng.permutation(n))
         i, j = int(rng.integers(n)), int(rng.integers(n))
-        delta = evaluate_delta(inst, sol, i, j)
+        delta = tuple(int(x) for x in swap_delta_matrix(inst, sol.perm)[:, i, j])
         swapped = sol.perm.copy()
         swapped[i], swapped[j] = swapped[j], swapped[i]
         after = evaluate_full(inst, swapped)

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -229,6 +230,8 @@ def _write_bad_inputs(directory):
         ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--parallel-trials", 0],
         ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--parallel-trials", -3],
         ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--ls-secs", "nan"],
+        ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--seed", -1],
+        ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--time-budget-secs", "nan"],
         ["hv", "--front", "missing.front"],
         ["gen", "--n", 1, "--m", 2, "--out", "results"],
         ["gen", "--n", 5, "--m", 0, "--out", "results"],
@@ -250,6 +253,8 @@ def _write_bad_inputs(directory):
         "parallel-trials-0",
         "parallel-trials-negative",
         "ls-secs-nan",
+        "negative-seed",
+        "time-budget-nan",
         "missing-front",
         "gen-n1",
         "gen-m0",
@@ -274,7 +279,8 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, ar
 
 @pytest.mark.parametrize(
     "setting, value",
-    [("archive_capacity", 0), ("epoch", 0), ("migrants", 0), ("population", 1), ("parallel_trials", 0)],
+    [("archive_capacity", 0), ("epoch", 0), ("migrants", 0), ("population", 1), ("parallel_trials", 0),
+     ("generations", -1), ("seed", -1), ("time_budget_secs", "nan")],
     ids=lambda v: str(v),
 )
 def test_bad_run_setting_is_named_in_the_error(tmp_path, capsys, setting, value):
@@ -284,7 +290,8 @@ def test_bad_run_setting_is_named_in_the_error(tmp_path, capsys, setting, value)
             "--out", tmp_path / "results"]
     assert _run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and setting in err
+    # As a whole word: population_size or g_max would name the island field.
+    assert err.startswith("error: ") and re.search(rf"\b{setting}\b", err), err
 
 
 def test_manifest_holds_every_resolved_setting(tmp_path):

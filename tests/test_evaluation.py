@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from mqap import Instance, apply_swap, evaluate_delta, evaluate_full, make_solution
+from mqap import Instance, apply_swap, evaluate_full, make_solution
 from mqap.evaluation import DimensionMismatchError, swap_delta_matrix
 
-from conftest import naive_objectives, random_instance
+from conftest import evaluate_delta, naive_objectives, random_instance
 
 
 def test_hand_case():
@@ -81,15 +81,38 @@ def test_delta_symmetric_instance(np_rng):
         assert evaluate_delta(inst, sol, i, j) == _delta_oracle(inst, sol, i, j)
 
 
+def _assert_matrix_matches_oracle(inst, sol):
+    deltas = swap_delta_matrix(inst, sol.perm)
+    assert deltas.shape == (inst.m, inst.n, inst.n) and deltas.dtype == np.int64
+    assert np.array_equal(deltas, deltas.transpose(0, 2, 1))
+    assert not np.diagonal(deltas, axis1=1, axis2=2).any()
+    for i, j in itertools.combinations(range(inst.n), 2):
+        assert tuple(int(x) for x in deltas[:, i, j]) == evaluate_delta(inst, sol, i, j)
+
+
 def test_delta_matrix_matches_per_pair(np_rng):
-    for _ in range(10):
-        n = int(np_rng.integers(3, 12))
-        inst = random_instance(np_rng, n, int(np_rng.integers(1, 4)))
-        sol = make_solution(inst, np_rng.permutation(n))
-        deltas = swap_delta_matrix(inst, sol.perm)
-        for i, j in itertools.combinations(range(n), 2):
-            expected = evaluate_delta(inst, sol, i, j)
-            assert tuple(int(deltas[r, i, j]) for r in range(inst.m)) == expected
+    sizes = [(2, 1), (2, 4), (7, 4)]
+    sizes += [(int(np_rng.integers(3, 12)), int(np_rng.integers(1, 4))) for _ in range(10)]
+    for n, m in sizes:
+        inst = random_instance(np_rng, n, m)
+        _assert_matrix_matches_oracle(inst, make_solution(inst, np_rng.permutation(n)))
+
+
+def test_delta_matrix_exact_above_the_float64_bound(np_rng):
+    # Odd entries in [2^25, 2^26) put 2*n*max_d*max_f over 2^53 while the
+    # load guard (n^2*max_d*max_f < 2^62) still accepts the instance.  A
+    # float64 product would round here, so the kernel has to stay on int64.
+    n = 6
+
+    def odd_matrix():
+        return np_rng.integers(2**24, 2**25, (n, n)) * 2 + 1
+
+    inst = Instance(n=n, distances=odd_matrix(), flows=(odd_matrix(), odd_matrix()))
+    assert 2 * n * int(inst.distances.max()) * max(int(f.max()) for f in inst.flows) >= 2**53
+    assert inst.swap_operands.d_cat.dtype == np.int64
+    assert random_instance(np_rng, n, 2).swap_operands.d_cat.dtype == np.float64
+    for _ in range(20):
+        _assert_matrix_matches_oracle(inst, make_solution(inst, np_rng.permutation(n)))
 
 
 def test_apply_swap_involution(np_rng):

@@ -9,14 +9,12 @@ from mqap import (
     Rng,
     dominance_based_local_search,
     dominates,
-    evaluate_delta,
     evaluate_full,
     make_solution,
-    ordered_swap_neighborhood,
 )
 from mqap.localsearch import first_dominating_swap
 
-from conftest import random_instance
+from conftest import evaluate_delta, ordered_swap_neighborhood, random_instance
 
 
 def _record_scans(monkeypatch):
