@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -81,13 +82,16 @@ def parse_gen_spec(text: str) -> InstanceSpec:
     missing = [key for key in ("n", "m") if key not in fields]
     if missing:
         raise ValueError(f"generator spec {text!r} lacks {', '.join(missing)}")
-    return InstanceSpec(
-        n=int(fields["n"]),
-        m=int(fields["m"]),
-        correlation=float(fields.get("correlation", 0.0)),
-        seed=int(fields.get("seed", 0)),
-        max_value=int(fields.get("max_value", 100)),
-    )
+    try:
+        return InstanceSpec(
+            n=int(fields["n"]),
+            m=int(fields["m"]),
+            correlation=float(fields.get("correlation", 0.0)),
+            seed=int(fields.get("seed", 0)),
+            max_value=int(fields.get("max_value", 100)),
+        )
+    except ValueError as exc:
+        raise ValueError(f"generator spec {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,14 +226,18 @@ def cmd_hv(args) -> int:
     points = [tuple(float(v) for v in obj) for _, obj in rows]
     if not points:
         raise ConfigError(f"{args.front} holds no points")
+    if not math.isfinite(args.offset):
+        raise ConfigError(f"--offset must be finite, got {args.offset}")
     if args.ref:
         try:
             ref = tuple(float(v) for v in args.ref.split(","))
         except ValueError as exc:
-            raise ConfigError(f"invalid reference point {args.ref!r}: {exc}") from exc
+            raise ConfigError(f"invalid --ref {args.ref!r}: {exc}") from exc
+        if not all(map(math.isfinite, ref)):
+            raise ConfigError(f"--ref must be finite, got {args.ref!r}")
         if len(ref) != len(points[0]):
             raise ConfigError(
-                f"reference point has {len(ref)} coordinates, the front has {len(points[0])}"
+                f"--ref has {len(ref)} coordinates, the front has {len(points[0])}"
             )
     else:
         (points,), _ = normalize_fronts([points])

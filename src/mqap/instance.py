@@ -112,10 +112,17 @@ class InstanceSpec:
     max_value: int = 100
 
     def __post_init__(self):
-        if self.n < 2 or self.m < 1 or self.max_value < 1:
-            raise ValueError("invalid generator spec")
+        for name, value, low in (
+            ("n", self.n, 2),
+            ("m", self.m, 1),
+            # random.Random seeds with abs(), so seed -s would give seed s's instance.
+            ("seed", self.seed, 0),
+            ("max_value", self.max_value, 1),
+        ):
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not -1.0 <= self.correlation <= 1.0:
-            raise ValueError("correlation must lie in [-1, 1]")
+            raise ValueError(f"correlation must lie in [-1, 1], got {self.correlation}")
 
 
 def parse_instance(source: str | IO[str]) -> Instance:

@@ -173,10 +173,13 @@ def write_front_file(path, solutions: list[Solution], header: dict[str, str]) ->
 
 
 def read_front_file(path) -> tuple[dict[str, str], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Returns (header metadata, [(perm, objectives), ...])."""
+    """Returns (header metadata, [(perm, objectives), ...]).
+
+    Every row must hold as many objectives as the first row.
+    """
     header: dict[str, str] = {}
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -188,6 +191,12 @@ def read_front_file(path) -> tuple[dict[str, str], list[tuple[tuple[int, ...], t
         perm_part, _, obj_part = stripped.partition("|")
         perm = tuple(int(v) for v in perm_part.split())
         objectives = tuple(int(v) for v in obj_part.split())
+        if not objectives:
+            raise ValueError(f"line {number} holds no objectives")
+        if rows and len(objectives) != len(rows[0][1]):
+            raise ValueError(
+                f"line {number} holds {len(objectives)} objectives, the first row {len(rows[0][1])}"
+            )
         rows.append((perm, objectives))
     return header, rows
 
@@ -360,6 +369,12 @@ def compare_result_sets(
             raise InstanceMismatchError(
                 f"instance {instance_name!r} appears in only one result set; "
                 "nothing to compare it against"
+            )
+        widths = {rs.directory: {len(p) for front in rs.fronts for p in front} for rs in group}
+        if len(set().union(*widths.values())) > 1:
+            listed = ", ".join(f"{d}: {sorted(w)}" for d, w in widths.items())
+            raise InstanceMismatchError(
+                f"instance {instance_name!r} has fronts with different objective counts ({listed})"
             )
 
     rows = []

@@ -86,6 +86,40 @@ def brute_force_non_dominated(objectives: list[tuple[int, ...]]) -> set[tuple[in
     }
 
 
+def pairwise_non_dominated(points):
+    """Non-dominated filter oracle: one kept list, first occurrences in input order."""
+    kept = []
+    for p in points:
+        if any(dominates(q, p) or q == p for q in kept):
+            continue
+        kept = [q for q in kept if not dominates(p, q)]
+        kept.append(p)
+    return kept
+
+
+def recursive_hypervolume(front, ref) -> float:
+    """Hypervolume oracle: slice along the first objective down to one dimension."""
+    inside = [tuple(p) for p in front if all(x < r for x, r in zip(p, ref))]
+    return _hv_recursive(inside, tuple(ref))
+
+
+def _hv_recursive(points, ref) -> float:
+    if not points:
+        return 0.0
+    if len(ref) == 1:
+        return ref[0] - min(p[0] for p in points)
+    front = sorted(pairwise_non_dominated(points))
+    volume = 0.0
+    for idx, p in enumerate(front):
+        upper = front[idx + 1][0] if idx + 1 < len(front) else ref[0]
+        width = upper - p[0]
+        if width <= 0:
+            continue
+        slab = [q[1:] for q in front[: idx + 1]]
+        volume += width * _hv_recursive(slab, ref[1:])
+    return volume
+
+
 def crowding_oracle(front_objs: list[tuple[int, ...]]) -> list[float]:
     """Straightforward crowding re-implementation for cross-checking."""
     size = len(front_objs)

@@ -213,67 +213,68 @@ def _write_bad_inputs(directory):
     )
     write_front_file(directory / "empty.front", [], {"instance": "demo"})
     (directory / "malformed.front").write_text("0 1 | 3 x\n", encoding="utf-8")
+    (directory / "ragged.front").write_text(
+        "! instance=demo\n0 1 | 3 4\n1 0 | 5 6 7\n", encoding="utf-8"
+    )
     for name, manifest in (("not-json", "{trial_records"), ("no-records", '{"instance": "x"}')):
         (directory / name).mkdir()
         (directory / name / "manifest.json").write_text(manifest, encoding="utf-8")
 
 
+# (id, argv, the setting the error must name or None)
+BAD_INPUTS = [
+    ("zero-trials", ["run", "--gen-spec", "n=6,m=2", "--trials", 0], None),
+    ("spec-without-n", ["run", "--gen-spec", "m=2"], None),
+    ("spec-n1", ["run", "--gen-spec", "n=1,m=2"], "n"),
+    ("spec-negative-seed", ["run", "--gen-spec", "n=8,m=2,seed=-3"], "seed"),
+    ("migrants-over-capacity",
+     ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500], None),
+    ("tournament-k-0", ["run", "--gen-spec", "n=6,m=2", "--tournament-k", 0], None),
+    ("population-0", ["run", "--gen-spec", "n=6,m=2", "--population", 0], None),
+    ("parallel-trials-0",
+     ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--parallel-trials", 0], None),
+    ("parallel-trials-negative",
+     ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--parallel-trials", -3], None),
+    ("ls-secs-nan",
+     ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--ls-secs", "nan"],
+     None),
+    ("negative-seed",
+     ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--seed", -1], None),
+    ("time-budget-nan",
+     ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1,
+      "--time-budget-secs", "nan"], None),
+    ("missing-front", ["hv", "--front", "missing.front"], None),
+    ("gen-n1", ["gen", "--n", 1, "--m", 2, "--out", "results"], "n"),
+    ("gen-m0", ["gen", "--n", 5, "--m", 0, "--out", "results"], "m"),
+    ("gen-negative-seed", ["gen", "--n", 5, "--m", 2, "--seed", -3, "--out", "results"], "seed"),
+    ("gen-correlation-2",
+     ["gen", "--n", 5, "--m", 2, "--correlation", 2, "--out", "results"], "correlation"),
+    ("hv-ref-not-a-number", ["hv", "--front", "two.front", "--ref", "1,abc"], "--ref"),
+    ("hv-ref-wrong-dimension", ["hv", "--front", "two.front", "--ref", "100,100,100"], "--ref"),
+    ("hv-ref-nan", ["hv", "--front", "two.front", "--ref", "nan,nan"], "--ref"),
+    ("hv-ref-inf", ["hv", "--front", "two.front", "--ref", "inf,inf"], "--ref"),
+    ("hv-offset-nan", ["hv", "--front", "two.front", "--offset", "nan"], "--offset"),
+    ("hv-empty-front", ["hv", "--front", "empty.front"], None),
+    ("hv-malformed-front", ["hv", "--front", "malformed.front"], None),
+    ("hv-ragged-front", ["hv", "--front", "ragged.front"], "line 3"),
+    ("compare-manifest-not-json", ["compare", "not-json", "not-json"], None),
+    ("compare-manifest-without-records", ["compare", "no-records", "no-records"], None),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "--gen-spec", "n=6,m=2", "--trials", 0],
-        ["run", "--gen-spec", "m=2"],
-        ["run", "--gen-spec", "n=1,m=2"],
-        ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500],
-        ["run", "--gen-spec", "n=6,m=2", "--tournament-k", 0],
-        ["run", "--gen-spec", "n=6,m=2", "--population", 0],
-        ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--parallel-trials", 0],
-        ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--parallel-trials", -3],
-        ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--ls-secs", "nan"],
-        ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--seed", -1],
-        ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--time-budget-secs", "nan"],
-        ["hv", "--front", "missing.front"],
-        ["gen", "--n", 1, "--m", 2, "--out", "results"],
-        ["gen", "--n", 5, "--m", 0, "--out", "results"],
-        ["gen", "--n", 5, "--m", 2, "--correlation", 2, "--out", "results"],
-        ["hv", "--front", "two.front", "--ref", "1,abc"],
-        ["hv", "--front", "two.front", "--ref", "100,100,100"],
-        ["hv", "--front", "empty.front"],
-        ["hv", "--front", "malformed.front"],
-        ["compare", "not-json", "not-json"],
-        ["compare", "no-records", "no-records"],
-    ],
-    ids=[
-        "zero-trials",
-        "spec-without-n",
-        "spec-n1",
-        "migrants-over-capacity",
-        "tournament-k-0",
-        "population-0",
-        "parallel-trials-0",
-        "parallel-trials-negative",
-        "ls-secs-nan",
-        "negative-seed",
-        "time-budget-nan",
-        "missing-front",
-        "gen-n1",
-        "gen-m0",
-        "gen-correlation-2",
-        "hv-ref-not-a-number",
-        "hv-ref-wrong-dimension",
-        "hv-empty-front",
-        "hv-malformed-front",
-        "compare-manifest-not-json",
-        "compare-manifest-without-records",
-    ],
+    "argv, named", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
 )
-def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv):
+def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
     _write_bad_inputs(tmp_path)
     if argv[0] == "run":
         argv = argv + ["--out", "results"]
     assert _run(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if named is not None:
+        assert re.search(rf"(?<![\w-]){re.escape(named)}\b", err), err
     assert not (tmp_path / "results").exists()
 
 
@@ -391,6 +392,30 @@ def test_compare_instance_mismatch(tmp_path, capsys):
     # The CLI reports domain errors instead of dumping a traceback.
     assert _run(["compare", tmp_path / "x", tmp_path / "y"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_compare_rejects_fronts_with_different_objective_counts(tmp_path, capsys):
+    two = [[(10 + t, 30 - t), (12 + t, 25 - t)] for t in range(3)]
+    three = [[(10 + t, 30 - t, 5), (12 + t, 25 - t, 7)] for t in range(3)]
+    _write_synthetic_result(tmp_path / "two", "synth", 1, two)
+    _write_synthetic_result(tmp_path / "three", "synth", 2, three)
+    from mqap.runner import compare_result_sets
+
+    sets = [load_result_set(tmp_path / "two"), load_result_set(tmp_path / "three")]
+    with pytest.raises(InstanceMismatchError, match="objective counts"):
+        compare_result_sets(sets)
+    assert _run(["compare", tmp_path / "two", tmp_path / "three"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_read_front_file_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "ragged.front"
+    path.write_text("! instance=demo\n0 1 | 3 4\n\n1 0 | 5 6 7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 4 holds 3 objectives, the first row 2"):
+        read_front_file(path)
+    path.write_text("0 1 | 3 4\n1 0 |\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2 holds no objectives"):
+        read_front_file(path)
 
 
 def test_compare_with_too_few_trials_reports_na(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -7,6 +8,8 @@ from scipy import stats as scipy_stats
 
 from mqap import hypervolume, normalize_fronts, reference_point, wilcoxon_rank_sum
 from mqap.metrics import DegenerateSampleError, EmptyUnionError, non_dominated
+
+from conftest import pairwise_non_dominated, recursive_hypervolume
 
 
 def test_normalize_single_front():
@@ -98,6 +101,66 @@ def test_hypervolume_against_small_monte_carlo():
         exact = hypervolume(front, ref)
         approx = _mc_hypervolume(front, ref, samples=200_000, seed=m)
         assert abs(exact - approx) < 5e-3
+
+
+def _front_case(rng, m, count):
+    """Random, grid (ties) or curved points, duplicates, and points at or beyond 1.0."""
+    kind = rng.choice(("random", "grid", "curved"))
+    points = []
+    for _ in range(count):
+        if kind == "random":
+            p = [rng.random() for _ in range(m)]
+        elif kind == "grid":
+            p = [rng.randint(0, 4) / 4 for _ in range(m)]
+        else:
+            v = [abs(rng.gauss(0, 1)) + 1e-9 for _ in range(m)]
+            norm = math.sqrt(sum(x * x for x in v))
+            p = [1 - x / norm for x in v]
+        if rng.random() < 0.1:
+            p[rng.randrange(m)] = rng.choice((1.0, 1.25))
+        points.append(tuple(p))
+    if points and rng.random() < 0.5:
+        points += [rng.choice(points) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(points)
+    return points
+
+
+def test_sweeps_and_array_filter_match_the_recursive_oracles():
+    rng = random.Random(2009)
+    for case in range(2000):
+        m, count = case % 4 + 1, rng.randint(0, 25)
+        points = _front_case(rng, m, count)
+        ref = tuple(rng.choice((1.0, 0.9)) for _ in range(m))
+        expected = recursive_hypervolume(points, ref)
+        assert math.isclose(hypervolume(points, ref), expected, rel_tol=1e-12), (case, points, ref)
+        assert non_dominated(points) == pairwise_non_dominated(points), (case, points)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_hypervolume_100_points(m):
+    rng = random.Random(100 + m)
+    front = _front_case(rng, m, 100)
+    ref = (1.0,) * m
+    exact = hypervolume(front, ref)
+    assert math.isclose(exact, recursive_hypervolume(front, ref), rel_tol=1e-12)
+    assert abs(exact - _mc_hypervolume(front, ref, samples=200_000, seed=m)) < 5e-3
+
+
+def test_hypervolume_single_objective_and_empty_front():
+    assert hypervolume([(0.25,), (0.5,), (1.5,)], (1.0,)) == 0.75
+    assert hypervolume([], (1.0, 1.0, 1.0)) == 0.0
+    assert hypervolume([(1.0, 0.5, 0.5)], (1.0, 1.0, 1.0)) == 0.0
+    with pytest.raises(ValueError):
+        hypervolume([()], ())
+
+
+def test_non_dominated_filter_large_front_in_blocks(monkeypatch):
+    rng = random.Random(11)
+    points = [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(300)]
+    expected = pairwise_non_dominated(points)
+    assert non_dominated(points) == expected
+    monkeypatch.setattr("mqap.metrics._MASK_CELLS", 7 * 300)  # 43 column blocks
+    assert non_dominated(points) == expected
 
 
 def test_non_dominated_filter():
