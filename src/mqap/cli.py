@@ -228,6 +228,9 @@ def cmd_hv(args) -> int:
         raise ConfigError(f"{args.front} holds no points")
     if not math.isfinite(args.offset):
         raise ConfigError(f"--offset must be finite, got {args.offset}")
+    if args.offset <= 0:
+        # The front's extreme points would sit on or beyond the reference and count for nothing.
+        raise ConfigError(f"--offset must be positive, got {args.offset}")
     if args.ref:
         try:
             ref = tuple(float(v) for v in args.ref.split(","))

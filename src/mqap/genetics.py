@@ -25,17 +25,18 @@ def cycle_crossover(p1: np.ndarray, p2: np.ndarray):
     unassigned cycle parent2 -> child1, and so on, so every child position
     keeps the value one parent held there.
     """
-    p1 = np.asarray(p1, dtype=np.int64)
-    p2 = np.asarray(p2, dtype=np.int64)
-    if len(p1) != len(p2):
+    # The walk indexes Python lists: numpy scalar reads cost far more at this size.
+    a = np.asarray(p1, dtype=np.int64).tolist()
+    b = np.asarray(p2, dtype=np.int64).tolist()
+    if len(a) != len(b):
         raise ValueError("parents must have equal length")
-    n = len(p1)
-    pos_in_p1 = np.empty(n, dtype=np.int64)
-    pos_in_p1[p1] = np.arange(n)
+    n = len(a)
+    pos_in_a = [0] * n
+    for pos, value in enumerate(a):
+        pos_in_a[value] = pos
 
-    c1 = np.empty(n, dtype=np.int64)
-    c2 = np.empty(n, dtype=np.int64)
-    assigned = np.zeros(n, dtype=bool)
+    c1, c2 = a[:], b[:]
+    assigned = [False] * n
     from_p1 = True
     for start in range(n):
         if assigned[start]:
@@ -43,13 +44,11 @@ def cycle_crossover(p1: np.ndarray, p2: np.ndarray):
         pos = start
         while not assigned[pos]:
             assigned[pos] = True
-            if from_p1:
-                c1[pos], c2[pos] = p1[pos], p2[pos]
-            else:
-                c1[pos], c2[pos] = p2[pos], p1[pos]
-            pos = int(pos_in_p1[p2[pos]])
+            if not from_p1:
+                c1[pos], c2[pos] = b[pos], a[pos]
+            pos = pos_in_a[b[pos]]
         from_p1 = not from_p1
-    return c1, c2
+    return np.array(c1, dtype=np.int64), np.array(c2, dtype=np.int64)
 
 
 def random_swap(perm: np.ndarray, rng: Rng) -> np.ndarray:

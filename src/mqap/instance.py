@@ -84,6 +84,11 @@ class Instance:
         return len(self.flows)
 
     @cached_property
+    def flow_columns(self) -> np.ndarray:
+        """(n^2, m) int64: column r is flow matrix r flattened, the operand of ``evaluate_batch``."""
+        return np.stack(self.flows).reshape(self.m, self.n * self.n).T.copy()
+
+    @cached_property
     def swap_operands(self) -> SwapOperands:
         """Built on the first neighbourhood scan, so NSGA-II runs never pay for it.
 

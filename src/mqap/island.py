@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .archive import Archive, archive_merge
-from .evaluation import Solution, make_solution, random_solution
+from .evaluation import Solution, make_solutions, random_solutions
 from .genetics import Rng, cycle_crossover, random_swap, swap_mutation, tournament_select
 from .instance import Instance
 from .localsearch import Clock, dominance_based_local_search
@@ -114,12 +114,13 @@ def _make_offspring(
     duplicate children are redrawn (within an attempt bound), so the batch
     spends its evaluations on distinct candidates.  Without this the loop
     saturates with copies at small instance sizes and recombination stalls.
+    The kept children are evaluated together in one batch.
     """
-    offspring: list[Solution] = []
+    children: list[np.ndarray] = []
     seen: set[bytes] = set()
     attempts = 0
     max_attempts = 3 * config.population_size
-    while len(offspring) < config.population_size:
+    while len(children) < config.population_size:
         attempts += 1
         p1 = tournament_select(population, config.tournament_k, fitness, rng)
         p2 = tournament_select(population, config.tournament_k, fitness, rng)
@@ -131,16 +132,18 @@ def _make_offspring(
             c1, c2 = cycle_crossover(p1.perm, p2.perm)
         else:
             c1, c2 = p1.perm.copy(), p2.perm.copy()
+        parent_keys = (p1.perm_key(), p2.perm_key())
         for child in (c1, c2):
             child = swap_mutation(child, config.pb_m, rng)
-            if np.array_equal(child, p1.perm) or np.array_equal(child, p2.perm):
-                child = random_swap(child, rng)
             key = child.tobytes()
+            if key in parent_keys:
+                child = random_swap(child, rng)
+                key = child.tobytes()
             if key in seen and attempts < max_attempts:
                 continue
             seen.add(key)
-            offspring.append(make_solution(instance, child))
-    return offspring[: config.population_size]
+            children.append(child)
+    return make_solutions(instance, children[: config.population_size])
 
 
 def _distinct_permutations(solutions: list[Solution]) -> list[Solution]:
@@ -193,7 +196,7 @@ def run_island(
     start = clock()
     archive = Archive(capacity=config.archive_capacity)
 
-    population = [random_solution(instance, rng) for _ in range(config.population_size)]
+    population = random_solutions(instance, rng, config.population_size)
     archive.insert(population)
     fitness = rank_and_crowd(population)
 
@@ -223,11 +226,10 @@ def run_island(
 
         population, fitness = elitist_integration(pool, migrants, config.population_size)
         refill = config.population_size - len(population)
-        for _ in range(refill):
-            fresh = random_solution(instance, rng)
-            archive.insert_one(fresh)
-            population.append(fresh)
         if refill:
+            fresh = random_solutions(instance, rng, refill)
+            archive.insert(fresh)
+            population.extend(fresh)
             fitness = rank_and_crowd(population)
         stats.generations = generation
         generation += 1

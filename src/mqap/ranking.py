@@ -78,17 +78,51 @@ def front_crowding(objs: np.ndarray) -> np.ndarray:
     return crowding
 
 
+def crowding_by_front(objs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """``front_crowding`` of every front at once, for the rows of an (N, m) array.
+
+    Rows sharing a rank form one front.  Per objective, one stable sort by
+    (rank, value) lays the fronts out one after another, each in the order
+    sorting it alone would give, and the same float terms are added in the
+    same objective order, so every value matches ``front_crowding``.
+    """
+    objs = np.asarray(objs)
+    ranks = np.asarray(ranks)
+    size = len(objs)
+    crowding = np.zeros(size)
+    if size == 0:
+        return crowding
+    # Every per-objective order puts each front in the same run of slots, so
+    # the first and last slot of each front are found once.
+    sorted_ranks = np.sort(ranks)
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_ranks[1:], sorted_ranks[:-1], out=first[1:])
+    last = np.empty(size, dtype=bool)
+    last[:-1] = first[1:]
+    last[-1] = True
+    starts, stops = np.flatnonzero(first), np.flatnonzero(last)
+    ends = np.flatnonzero(first | last)
+    inner = np.flatnonzero(~(first | last))
+    front = np.cumsum(first)[inner] - 1
+    for col in objs.T:
+        order = np.lexsort((col, ranks))
+        c = col[order]
+        crowding[order[ends]] = np.inf
+        span = (c[stops] - c[starts])[front]
+        spread = span > 0
+        at = inner[spread]
+        crowding[order[at]] += (c[at + 1] - c[at - 1]) / span[spread]
+    return crowding
+
+
 def rank_and_crowd(solutions: Sequence[Solution]) -> list[Fitness]:
     """One ``(rank, -crowding)`` fitness key per solution; smaller is better."""
     if not solutions:
         return []
     objs = np.array([sol.objectives for sol in solutions], dtype=np.int64)
     ranks = pareto_ranks(objs)
-    crowding = np.empty(len(objs))
-    for rank in range(int(ranks.max()) + 1):
-        members = np.flatnonzero(ranks == rank)
-        crowding[members] = front_crowding(objs[members])
-    return list(zip(ranks.tolist(), (-crowding).tolist()))
+    return list(zip(ranks.tolist(), (-crowding_by_front(objs, ranks)).tolist()))
 
 
 def elitist_integration(

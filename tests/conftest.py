@@ -7,6 +7,7 @@ import pytest
 
 from mqap import Instance, Solution, dominates
 from mqap.evaluation import DimensionMismatchError
+from mqap.ranking import front_crowding, pareto_ranks
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int, hi: int = 50) -> Instance:
@@ -140,6 +141,48 @@ def crowding_oracle(front_objs: list[tuple[int, ...]]) -> list[float]:
                 continue
             values[i] += (front_objs[order[pos + 1]][r] - front_objs[order[pos - 1]][r]) / span
     return values
+
+
+def per_front_rank_and_crowd(solutions) -> list[tuple[int, float]]:
+    """Fitness-key oracle: rank all rows, then ``front_crowding`` each front on its own."""
+    if not solutions:
+        return []
+    objs = np.array([sol.objectives for sol in solutions], dtype=np.int64)
+    ranks = pareto_ranks(objs)
+    crowding = np.empty(len(objs))
+    for rank in range(int(ranks.max()) + 1):
+        members = np.flatnonzero(ranks == rank)
+        crowding[members] = front_crowding(objs[members])
+    return list(zip(ranks.tolist(), (-crowding).tolist()))
+
+
+def scalar_cycle_crossover(p1, p2):
+    """Cycle crossover oracle: the cycle walk over numpy arrays, element by element."""
+    p1 = np.asarray(p1, dtype=np.int64)
+    p2 = np.asarray(p2, dtype=np.int64)
+    if len(p1) != len(p2):
+        raise ValueError("parents must have equal length")
+    n = len(p1)
+    pos_in_p1 = np.empty(n, dtype=np.int64)
+    pos_in_p1[p1] = np.arange(n)
+
+    c1 = np.empty(n, dtype=np.int64)
+    c2 = np.empty(n, dtype=np.int64)
+    assigned = np.zeros(n, dtype=bool)
+    from_p1 = True
+    for start in range(n):
+        if assigned[start]:
+            continue
+        pos = start
+        while not assigned[pos]:
+            assigned[pos] = True
+            if from_p1:
+                c1[pos], c2[pos] = p1[pos], p2[pos]
+            else:
+                c1[pos], c2[pos] = p2[pos], p1[pos]
+            pos = int(pos_in_p1[p2[pos]])
+        from_p1 = not from_p1
+    return c1, c2
 
 
 def solution_from_objectives(objectives, perm_seed: int = 0, n: int | None = None) -> Solution:

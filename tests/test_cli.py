@@ -254,6 +254,8 @@ BAD_INPUTS = [
     ("hv-ref-nan", ["hv", "--front", "two.front", "--ref", "nan,nan"], "--ref"),
     ("hv-ref-inf", ["hv", "--front", "two.front", "--ref", "inf,inf"], "--ref"),
     ("hv-offset-nan", ["hv", "--front", "two.front", "--offset", "nan"], "--offset"),
+    ("hv-offset-zero", ["hv", "--front", "two.front", "--offset", "0"], "--offset"),
+    ("hv-offset-negative", ["hv", "--front", "two.front", "--offset", "-0.5"], "--offset"),
     ("hv-empty-front", ["hv", "--front", "empty.front"], None),
     ("hv-malformed-front", ["hv", "--front", "malformed.front"], None),
     ("hv-ragged-front", ["hv", "--front", "ragged.front"], "line 3"),

@@ -1,10 +1,19 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from mqap import Instance, apply_swap, evaluate_full, make_solution
-from mqap.evaluation import DimensionMismatchError, swap_delta_matrix
+from mqap.evaluation import (
+    DimensionMismatchError,
+    evaluate_batch,
+    random_solution,
+    random_solutions,
+    swap_delta_matrix,
+)
+from mqap.genetics import Rng
+from mqap.instance import _INT64_SAFE
 
 from conftest import evaluate_delta, naive_objectives, random_instance
 
@@ -31,6 +40,58 @@ def test_matches_naive_oracle(np_rng):
         inst = random_instance(np_rng, n, int(np_rng.integers(1, 4)))
         perm = np_rng.permutation(n)
         assert evaluate_full(inst, perm) == naive_objectives(inst, perm)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [0, 1, 50])
+def test_batch_matches_naive_oracle(np_rng, m, batch):
+    inst = random_instance(np_rng, 9, m, hi=1000)
+    perms = np.array([np_rng.permutation(9) for _ in range(batch)], dtype=np.int64).reshape(batch, 9)
+    objs = evaluate_batch(inst, perms)
+    assert objs.shape == (batch, m) and objs.dtype == np.int64
+    assert [tuple(row) for row in objs.tolist()] == [naive_objectives(inst, p) for p in perms]
+    assert [evaluate_full(inst, p) for p in perms] == [tuple(row) for row in objs.tolist()]
+
+
+def test_batch_is_exact_just_under_the_int64_guard():
+    # n^2 * max_d * max_f sits just below 2^62: costs reach ~2^61, far past
+    # float64's 2^53, so any float step would lose low bits.
+    n = 3
+    hi = math.isqrt((_INT64_SAFE - 1) // (n * n))
+    assert n * n * hi * hi < _INT64_SAFE <= n * n * (hi + 1) * (hi + 1)
+    rng = np.random.default_rng(62)
+    distances = rng.integers(hi - 1000, hi + 1, (n, n))
+    flows = tuple(rng.integers(hi - 1000, hi + 1, (n, n)) for _ in range(4))
+    distances[0, 0] = flows[0][0, 0] = hi
+    inst = Instance(n=n, distances=distances, flows=flows)
+    perms = list(itertools.permutations(range(n)))
+    objs = evaluate_batch(inst, perms).tolist()
+    expected = [list(naive_objectives(inst, p)) for p in perms]
+    assert objs == expected
+    assert max(max(row) for row in expected) > 2**61
+
+
+def test_batch_rejects_wrong_length_and_non_permutations():
+    inst = Instance(n=3, distances=np.ones((3, 3)), flows=(np.ones((3, 3)),))
+    with pytest.raises(DimensionMismatchError):
+        evaluate_batch(inst, np.zeros((2, 4), dtype=np.int64))
+    with pytest.raises(DimensionMismatchError):
+        evaluate_batch(inst, [0, 1, 2])
+    with pytest.raises(DimensionMismatchError):
+        make_solution(inst, [0, 1])
+    with pytest.raises(ValueError, match="permutations"):
+        evaluate_batch(inst, [[0, 1, 2], [0, 0, 2]])
+
+
+def test_random_solutions_draw_like_repeated_single_draws():
+    inst = random_instance(np.random.default_rng(5), 7, 2)
+    batch = random_solutions(inst, Rng(11), 6)
+    rng = Rng(11)
+    singles = [random_solution(inst, rng) for _ in range(6)]
+    assert [s.perm.tolist() for s in batch] == [s.perm.tolist() for s in singles]
+    assert [s.objectives for s in batch] == [s.objectives for s in singles]
+    assert all(s.perm.dtype == np.int64 for s in batch)
+    assert random_solutions(inst, Rng(11), 0) == []
 
 
 def test_location_relabel_invariance(np_rng):

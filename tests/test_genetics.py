@@ -5,6 +5,8 @@ import pytest
 
 from mqap import IslandConfig, Rng, Solution, cycle_crossover, swap_mutation, tournament_select
 
+from conftest import scalar_cycle_crossover
+
 REF_P1 = [8, 4, 7, 3, 6, 2, 5, 1, 9, 0]
 REF_P2 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
 
@@ -37,6 +39,20 @@ def test_cycle_crossover_properties(np_rng):
             # Each child keeps one parent's value, and the two children
             # take the two parents' values between them.
             assert {c1[pos], c2[pos]} == {p1[pos], p2[pos]}
+
+
+def test_cycle_crossover_matches_scalar_oracle():
+    rng = np.random.default_rng(1991)
+    for n in [2, 2, 2, 3, 5, 10, 30, 64]:
+        for _ in range(40):
+            p1 = rng.permutation(n)
+            p2 = p1.copy() if rng.random() < 0.1 else rng.permutation(n)
+            got = cycle_crossover(p1, p2)
+            expected = scalar_cycle_crossover(p1, p2)
+            for child, oracle in zip(got, expected):
+                assert child.dtype == np.int64 and child.tobytes() == oracle.tobytes()
+    # Plain lists are accepted as before.
+    assert [c.tolist() for c in cycle_crossover([1, 0], [0, 1])] == [[1, 0], [0, 1]]
 
 
 def test_swap_mutation_never_fires_at_zero(np_rng):

@@ -14,7 +14,7 @@ from mqap import (
     run_fleet,
     run_island,
 )
-from mqap.evaluation import random_solution
+from mqap.evaluation import random_solution, random_solutions
 from mqap.genetics import tournament_select
 from mqap.instance import InstanceSpec, generate_uniform
 from mqap.island import send_migrants
@@ -252,12 +252,12 @@ def test_refilled_population_is_ranked_before_its_tournaments(algorithm, monkeyp
             checks.append(list(fitness) == rank_and_crowd(pool))
         return tournament_select(pool, k, fitness, rng)
 
-    def counting_random_solution(instance, rng):
-        draws.append(1)
-        return random_solution(instance, rng)
+    def counting_random_solutions(instance, rng, count):
+        draws.extend([1] * count)
+        return random_solutions(instance, rng, count)
 
     monkeypatch.setattr(mqap.island, "tournament_select", checking_tournament)
-    monkeypatch.setattr(mqap.island, "random_solution", counting_random_solution)
+    monkeypatch.setattr(mqap.island, "random_solutions", counting_random_solutions)
     run_island(config, _instance(n=4, m=3))
     assert len(draws) > config.population_size, "no refill happened"
     assert checks and all(checks)

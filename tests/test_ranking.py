@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from mqap import Solution, dominates, elitist_integration, front_crowding, pareto_ranks
-from mqap.ranking import rank_and_crowd
+from mqap.ranking import crowding_by_front, rank_and_crowd
 
-from conftest import crowding_oracle, repeated_filter_ranks
+from conftest import (
+    crowding_oracle,
+    per_front_rank_and_crowd,
+    repeated_filter_ranks,
+)
 
 INF = float("inf")
 
@@ -134,6 +138,35 @@ def test_crowding_matches_oracle_per_front():
         expected = crowding_oracle([objs[i] for i in front])
         assert [-fitness[i][1] for i in front] == pytest.approx(expected)
         assert all(fitness[i][0] == ranks[i] for i in front)
+
+
+def _objective_sets(seed):
+    """Seeded objective sets with ties, constant columns and fronts of one or two."""
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        size = int(rng.integers(1, 40))
+        m = int(rng.integers(1, 5))
+        objs = rng.integers(0, int(rng.choice([2, 4, 30, 10**6])), (size, m))
+        if rng.random() < 0.3:
+            objs[:, rng.integers(m)] = rng.integers(100)  # one constant objective
+        yield objs
+    yield np.array([[3, 3]])  # a single front of one
+    yield np.array([[0, 1], [1, 0]])  # a single front of two
+    yield np.array([[0, 0], [1, 1], [2, 2], [3, 3]])  # four fronts of one
+    yield np.array([[0, 3], [3, 0], [1, 4], [4, 1], [5, 5]])  # fronts of two, two and one
+    yield np.array([[2, 2]] * 5)  # identical rows
+
+
+def _bits(keys):
+    return np.array([c for _, c in keys]).tobytes(), [r for r, _ in keys]
+
+
+def test_one_pass_crowding_matches_per_front_oracle():
+    for objs in _objective_sets(4242):
+        sols = _sols([tuple(row) for row in objs.tolist()])
+        assert _bits(rank_and_crowd(sols)) == _bits(per_front_rank_and_crowd(sols))
+        single = np.zeros(len(objs), dtype=np.int64)
+        assert crowding_by_front(objs, single).tobytes() == front_crowding(objs).tobytes()
 
 
 def test_fitness_key_order():
