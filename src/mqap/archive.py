@@ -28,6 +28,26 @@ class Archive:
     def __len__(self) -> int:
         return len(self.members)
 
+    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Members as (A, n) int64 permutations and (A, m) int64 objectives."""
+        perms = np.array([m.perm for m in self.members], dtype=np.int64)
+        return perms, np.array([m.objectives for m in self.members], dtype=np.int64)
+
+    @classmethod
+    def from_arrays(cls, capacity: int, perms: np.ndarray, objectives: np.ndarray) -> "Archive":
+        """Rebuild an archive from ``to_arrays`` output, in the same member order.
+
+        The rows are taken as they are, without dominance checks: they must
+        already be distinct and mutually non-dominated, as an archive's are.
+        """
+        archive = cls(capacity)
+        archive.members = [
+            Solution(perm=perm, objectives=tuple(obj))
+            for perm, obj in zip(perms, objectives.tolist())
+        ]
+        archive._perm_keys = {member.perm_key() for member in archive.members}
+        return archive
+
     def insert(self, candidates: Iterable[Solution]) -> None:
         for candidate in candidates:
             self.insert_one(candidate)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import IO, NamedTuple
 
 import numpy as np
@@ -26,6 +25,28 @@ class SwapOperands(NamedTuple):
     flows: np.ndarray  # (m, n, n) stacked flow matrices
     d_cat: np.ndarray  # (n, 2n) [d.T | d] in the product dtype
     e: np.ndarray  # (n, n) E[i, j] = d_ii + d_jj - d_ij - d_ji
+
+
+class cached_property:
+    """``functools.cached_property`` without the class-wide lock it takes before Python 3.12.
+
+    Fleets fork islands from whichever thread runs them; a child forked
+    while another thread held that lock would wait on it forever.  Two
+    threads may both compute a value on first use; they compute the same.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class InstanceFormatError(ValueError):

@@ -5,15 +5,21 @@ and RNG.  Islands never share mutable state: every island has one unbounded
 inbox queue that all its neighbours put migrant batches on.  Sends are
 buffered copies and an island drains whatever its inbox holds without ever
 blocking, so a stalled island cannot hold up its neighbours.
+
+A fleet runs in processes: island 0 in the calling process and every other
+island in a child forked from it (Linux ``fork``), with one
+``multiprocessing`` queue as each island's inbox.  A child sends its
+archive back as arrays.  A lone island runs inline and forks nothing.
 """
 
 from __future__ import annotations
 
 import queue
 import time
+import traceback
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -68,7 +74,19 @@ class IslandConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
-def check_migrants(inbox: queue.SimpleQueue) -> list[Solution]:
+class Inbox(Protocol):
+    """An island's migrant queue: a ``queue.SimpleQueue`` or a ``multiprocessing`` queue."""
+
+    def put(self, batch: list[Solution]) -> None: ...
+
+    def get_nowait(self) -> list[Solution]: ...  # raises queue.Empty
+
+
+class IslandError(RuntimeError):
+    """An island of a fleet failed; the message names the island."""
+
+
+def check_migrants(inbox: Inbox) -> list[Solution]:
     """Drain every batch queued on ``inbox`` without blocking."""
     migrants: list[Solution] = []
     while True:
@@ -78,7 +96,7 @@ def check_migrants(inbox: queue.SimpleQueue) -> list[Solution]:
             return migrants
 
 
-def send_migrants(neighbours: Sequence[queue.SimpleQueue], solutions: list[Solution]) -> int:
+def send_migrants(neighbours: Sequence[Inbox], solutions: list[Solution]) -> int:
     """Put fresh copies of ``solutions`` on every neighbour's inbox; return the count sent."""
     for inbox in neighbours:
         inbox.put([s.copy() for s in solutions])
@@ -169,7 +187,7 @@ def _select_migrants(archive: Archive, config: IslandConfig, rng: Rng) -> list[S
 def run_island(
     config: IslandConfig,
     instance: Instance,
-    inboxes: Sequence[queue.SimpleQueue] = (),
+    inboxes: Sequence[Inbox] = (),
     clock: Clock = time.monotonic,
 ) -> IslandResult:
     """Generation loop of one island, memetic or NSGA-II.
@@ -252,15 +270,111 @@ def run_fleet(
 ) -> FleetResult:
     """Run one fleet on the complete migration graph, join, and merge archives.
 
-    Every island runs on its own thread with its own inbox queue, so all of
-    them migrate concurrently; a lone island has no neighbours to send to.
+    A lone island runs inline.  In a larger fleet island 0 runs in this
+    process and every other island in one forked child, all at once; an
+    island that fails raises ``IslandError`` naming it, after every child
+    has been stopped.  ``islands`` lists the results in island-id order.
     """
     start = clock()
-    if not configs or sorted(cfg.island_id for cfg in configs) != list(range(len(configs))):
+    configs = sorted(configs, key=lambda cfg: cfg.island_id)
+    if not configs or [cfg.island_id for cfg in configs] != list(range(len(configs))):
         raise ValueError("island ids must be 0..N-1")
-    inboxes = [queue.SimpleQueue() for _ in configs]
-    with ThreadPoolExecutor(max_workers=len(configs)) as pool:
-        futures = [pool.submit(run_island, cfg, instance, inboxes, clock) for cfg in configs]
-        results = [f.result() for f in futures]
+    if len(configs) == 1:
+        results = [run_island(configs[0], instance, (), clock)]
+    else:
+        results = _run_forked(instance, configs, clock)
     front = archive_merge([r.archive for r in results])
     return FleetResult(front=front, islands=results, wall_time=clock() - start)
+
+
+def _run_forked(
+    instance: Instance, configs: list[IslandConfig], clock: Clock
+) -> list[IslandResult]:
+    import multiprocessing  # only fleets pay for its import
+
+    ctx = multiprocessing.get_context("fork")
+    inboxes = [ctx.Queue() for _ in configs]
+    children = []
+    try:
+        for config in configs[1:]:
+            here, there = ctx.Pipe()
+            child = ctx.Process(
+                target=_island_child, args=(config, instance, inboxes, clock, there), daemon=True
+            )
+            child.start()
+            there.close()  # so a child that dies unheard gives EOFError, not a hang
+            children.append((config, child, here))
+        try:
+            results = [run_island(configs[0], instance, inboxes, clock)]
+        except Exception as exc:
+            raise IslandError(f"island 0 failed: {exc!r}") from exc
+        results += [_receive(config, child, conn) for config, child, conn in children]
+        # Every island is done and every child still alive: read away the
+        # batches nobody drained, so that every queue feeder thread, here
+        # and in the children, can flush and exit, then release the children.
+        for inbox in inboxes:
+            _discard_unread(inbox)
+        for _, _, conn in children:
+            conn.send(None)
+    except BaseException:
+        # A killed child can die holding a queue's write lock; a feeder
+        # thread here that then waits on it stays blocked, but never joined.
+        for _, child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for _, child, conn in children:
+            child.join()
+            child.close()
+            conn.close()
+        for inbox in inboxes:
+            inbox.cancel_join_thread()
+            inbox.close()
+    return results
+
+
+def _island_child(config, instance, inboxes, clock, conn) -> None:
+    """A forked island: send back its archive arrays and stats, or its traceback.
+
+    The child then waits for the caller's word to exit, so that its queue
+    feeder threads can finish writing while the caller drains the inboxes.
+    """
+    for inbox in inboxes:
+        inbox.cancel_join_thread()  # an orphan must not wait on pipes nobody reads
+    try:
+        result = run_island(config, instance, inboxes, clock)
+        message = (*result.archive.to_arrays(), result.stats)
+    except Exception:
+        message = traceback.format_exc()
+    conn.send(message)
+    try:
+        conn.recv()
+    except EOFError:
+        pass
+
+
+def _receive(config: IslandConfig, child, conn) -> IslandResult:
+    try:
+        message = conn.recv()
+    except EOFError:
+        child.join()
+        raise IslandError(
+            f"island {config.island_id} exited with code {child.exitcode} before sending its result"
+        ) from None
+    if isinstance(message, str):
+        raise IslandError(f"island {config.island_id} failed:\n{message}")
+    perms, objectives, stats = message
+    return IslandResult(Archive.from_arrays(config.archive_capacity, perms, objectives), stats)
+
+
+def _discard_unread(inbox) -> None:
+    """Read every batch still counted on ``inbox``; its writers have all stopped putting.
+
+    Each batch is counted from its ``put``, so one still in a feeder
+    thread's buffer is waited for; a wait that long means a writer died.
+    """
+    while inbox.qsize() > 0:
+        try:
+            inbox.get(timeout=5.0)
+        except queue.Empty:
+            return

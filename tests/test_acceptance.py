@@ -6,6 +6,7 @@ the captured output) and asserts the criterion at its stated tolerance.
 
 from __future__ import annotations
 
+import multiprocessing
 import queue
 import random
 import threading
@@ -15,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import mqap.island
 from mqap import (
     Archive,
     IslandConfig,
@@ -220,41 +222,49 @@ def test_criterion_6_archive_invariants():
     assert ok
 
 
-def test_criterion_7_asynchrony_under_stall():
-    start = time.monotonic()
-    inst = generate_uniform(InstanceSpec(n=20, m=2, correlation=0.0, seed=9))
+def _stall_config(island_id):
+    return IslandConfig(
+        island_id=island_id,
+        population_size=15,
+        epoch=5,
+        migrants=2,
+        g_max=20,
+        ls_secs=0.05,
+        seed=7000 + island_id,
+    )
 
-    def config(island_id):
-        return IslandConfig(
-            island_id=island_id,
-            population_size=15,
-            epoch=5,
-            migrants=2,
-            g_max=20,
-            ls_secs=0.05,
-            seed=7000 + island_id,
-        )
 
-    baseline = run_fleet(inst, [config(i) for i in range(3)])
-    baseline_wall = max(r.stats.wall_time for r in baseline.islands)
+def _stall_instance():
+    return generate_uniform(InstanceSpec(n=20, m=2, correlation=0.0, seed=9))
 
-    inboxes = [queue.SimpleQueue() for _ in range(4)]
+
+def _islands_on_threads(inst, count, stalled=None, stall_secs=0.0, timeout=45.0):
+    """Run ``count`` islands with queue.SimpleQueue inboxes, one thread each."""
+    inboxes = [queue.SimpleQueue() for _ in range(count)]
     results: dict[int, object] = {}
 
-    def island_thread(island_id, stall):
-        if stall:
-            time.sleep(10.0)
-        results[island_id] = run_island(config(island_id), inst, inboxes)
+    def island_thread(island_id):
+        if island_id == stalled:
+            time.sleep(stall_secs)
+        results[island_id] = run_island(_stall_config(island_id), inst, inboxes)
 
-    threads = [
-        threading.Thread(target=island_thread, args=(i, i == 3), daemon=True) for i in range(4)
-    ]
+    threads = [threading.Thread(target=island_thread, args=(i,), daemon=True) for i in range(count)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join(timeout=45.0)
-    deadlocked = any(t.is_alive() for t in threads)
-    assert not deadlocked, "islands failed to terminate alongside a stalled peer"
+        t.join(timeout=timeout)
+    stuck = any(t.is_alive() for t in threads)
+    assert not stuck, "islands failed to terminate alongside a stalled peer"
+    return results
+
+
+def test_criterion_7_asynchrony_under_stall():
+    # run_island driven directly on threads; the process fleet has its own test below.
+    start = time.monotonic()
+    inst = _stall_instance()
+    baseline = _islands_on_threads(inst, 3)
+    baseline_wall = max(r.stats.wall_time for r in baseline.values())
+    results = _islands_on_threads(inst, 4, stalled=3, stall_secs=10.0)
 
     unstalled_walls = [results[i].stats.wall_time for i in range(3)]
     all_complete = all(results[i].stats.generations == 20 for i in range(3))
@@ -265,10 +275,43 @@ def test_criterion_7_asynchrony_under_stall():
         7,
         "asynchrony under stall",
         ok,
-        f"unstalled walls {[f'{w:.2f}' for w in unstalled_walls]} vs baseline "
+        f"threads: unstalled walls {[f'{w:.2f}' for w in unstalled_walls]} vs baseline "
         f"{baseline_wall:.2f}s (ratio {ratio:.2f}, limit 2.0), total {elapsed:.1f}s",
     )
     assert ok
+
+
+def test_criterion_7_asynchrony_under_stall_in_fleet_processes(monkeypatch):
+    start = time.monotonic()
+    inst = _stall_instance()
+    baseline = run_fleet(inst, [_stall_config(i) for i in range(3)])
+    baseline_wall = max(r.stats.wall_time for r in baseline.islands)
+
+    original = mqap.island.run_island
+
+    def stalling_run_island(config, *args):
+        if config.island_id == 2:  # runs in island 2's forked child
+            time.sleep(3.0)
+        return original(config, *args)
+
+    monkeypatch.setattr(mqap.island, "run_island", stalling_run_island)
+    fleet = run_fleet(inst, [_stall_config(i) for i in range(3)])
+
+    unstalled_walls = [fleet.islands[i].stats.wall_time for i in range(2)]
+    all_complete = all(r.stats.generations == 20 for r in fleet.islands)
+    ratio = max(unstalled_walls) / baseline_wall
+    elapsed = time.monotonic() - start
+    ok = all_complete and ratio <= 2.0 and fleet.wall_time >= 3.0 and elapsed < 60.0
+    _verdict(
+        7,
+        "asynchrony under stall",
+        ok,
+        f"processes: unstalled walls {[f'{w:.2f}' for w in unstalled_walls]} vs baseline "
+        f"{baseline_wall:.2f}s (ratio {ratio:.2f}, limit 2.0), fleet {fleet.wall_time:.2f}s, "
+        f"total {elapsed:.1f}s",
+    )
+    assert ok
+    assert multiprocessing.active_children() == []
 
 
 def test_criterion_8_directional_comparison_reported():

@@ -1,6 +1,12 @@
+import json
+import multiprocessing
+import os
 import queue
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +22,11 @@ from mqap import (
 )
 from mqap.evaluation import random_solution, random_solutions
 from mqap.genetics import tournament_select
-from mqap.instance import InstanceSpec, generate_uniform
-from mqap.island import send_migrants
+from mqap.instance import Instance, InstanceSpec, generate_uniform
+from mqap.island import IslandError, send_migrants
 from mqap.metrics import hypervolume, non_dominated, normalize_fronts, reference_point
 from mqap.ranking import rank_and_crowd
+from mqap.runner import ExperimentConfig, run_experiment
 
 from conftest import brute_force_non_dominated
 
@@ -175,6 +182,139 @@ def test_fleet_rejects_bad_island_ids():
         run_fleet(inst, [_config(island_id=3)])
     with pytest.raises(ValueError):
         run_fleet(inst, [])
+
+
+def _failing_island(failing_id, how):
+    original = mqap.island.run_island
+
+    def run_island(config, *args):
+        if config.island_id == failing_id:
+            if how == "exit":
+                os._exit(3)
+            raise RuntimeError("injected island failure")
+        return original(config, *args)
+
+    return run_island
+
+
+@pytest.mark.parametrize(
+    "failing_id, how, expected",
+    [
+        (0, "raise", "island 0 failed: RuntimeError('injected island failure')"),
+        (1, "raise", "RuntimeError: injected island failure"),
+        (1, "exit", "island 1 exited with code 3 before sending its result"),
+    ],
+)
+def test_fleet_failure_names_the_island_and_leaves_no_process(
+    monkeypatch, failing_id, how, expected
+):
+    # Forked children inherit the patched module global.
+    monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how))
+    configs = [_config(island_id=i, seed=40 + i, algorithm="nsga2", g_max=30) for i in range(3)]
+    with pytest.raises(IslandError) as excinfo:
+        run_fleet(_instance(n=8), configs)
+    assert f"island {failing_id}" in str(excinfo.value)
+    assert expected in str(excinfo.value)
+    assert multiprocessing.active_children() == []
+
+
+def _feeder_threads():
+    return {t for t in threading.enumerate() if t.name == "QueueFeederThread"}
+
+
+@pytest.mark.parametrize("short_island", [0, 1])
+def test_unread_inbox_of_a_finished_island_does_not_block_shutdown(short_island):
+    # One island stops after a generation while the other sends it 20
+    # migrants a generation for 400 generations: megabytes, far beyond the
+    # 64 KiB a pipe holds unread.
+    configs = [
+        _config(
+            island_id=i,
+            seed=60 + i,
+            algorithm="nsga2",
+            population_size=10,
+            g_max=1 if i == short_island else 400,
+            epoch=1,
+            migrants=20,
+        )
+        for i in range(2)
+    ]
+    feeders_before = _feeder_threads()
+    done = []
+    runner = threading.Thread(
+        target=lambda: done.append(run_fleet(_instance(n=20), configs)), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive(), "run_fleet hung on an unread inbox"
+    stats = [r.stats for r in done[0].islands]
+    assert [st.generations for st in stats] == [cfg.g_max for cfg in configs]
+    assert stats[1 - short_island].migrants_sent == 400 * 20
+    assert multiprocessing.active_children() == []
+    # Island 0's queue feeder threads flush and exit once the fleet is closed.
+    deadline = time.monotonic() + 10
+    while _feeder_threads() - feeders_before:
+        assert time.monotonic() < deadline, "a queue feeder thread is still blocked"
+        time.sleep(0.01)
+
+
+def test_parallel_trials_fork_fleets_from_pool_threads(tmp_path):
+    config = ExperimentConfig(
+        gen_spec=InstanceSpec(n=8, m=2, correlation=0.0, seed=2),
+        algorithm="nsga2",
+        island_count=2,
+        trials=3,
+        generations=6,
+        epoch=2,
+        time_budget=None,
+        output_dir=str(tmp_path),
+        parallel_trials=2,
+    )
+    result = run_experiment(config)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [rec["trial"] for rec in manifest["trial_records"]] == [0, 1, 2]
+    for record in result.trials:
+        assert len(record.islands) == 2
+        assert all(st.generations == 6 for st in record.islands)
+        rows = (tmp_path / record.front_file).read_text().splitlines()
+        assert len([r for r in rows if not r.startswith("!")]) == record.front_size > 0
+    assert multiprocessing.active_children() == []
+
+
+def test_fleet_forks_while_another_thread_computes_a_cached_instance_operand(monkeypatch):
+    # A trial thread can fork its islands while another trial thread is in
+    # the middle of a first use of an instance's cached operands.
+    original = Instance.flow_columns.func
+    busy, release = threading.Event(), threading.Event()
+
+    def slow_flow_columns(instance):
+        if threading.current_thread() is holder:
+            busy.set()
+            release.wait(60)
+        return original(instance)
+
+    monkeypatch.setattr(Instance.flow_columns, "func", slow_flow_columns)
+    holder = threading.Thread(target=lambda: _instance(n=7).flow_columns, daemon=True)
+    holder.start()
+    assert busy.wait(10)
+    configs = [_config(island_id=i, seed=80 + i, algorithm="nsga2") for i in range(2)]
+    fleets = []
+    runner = threading.Thread(
+        target=lambda: fleets.append(run_fleet(_instance(n=8), configs)), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=60)
+    release.set()
+    holder.join(timeout=10)
+    assert fleets, "a forked island waited on a lock another thread held at the fork"
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_mqap_does_not_import_multiprocessing():
+    src = Path(mqap.island.__file__).resolve().parents[1]
+    probe = "import sys, mqap; sys.exit('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_single_island_determinism_in_memory():
