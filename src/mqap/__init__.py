@@ -1,6 +1,6 @@
 """Asynchronous island-model memetic solver for the multi-objective QAP."""
 
-from .archive import Archive, archive_merge
+from .archive import Archive
 from .evaluation import (
     ObjectiveVector,
     Solution,
@@ -21,6 +21,7 @@ from .instance import (
 )
 from .island import (
     IslandConfig,
+    archive_merge,
     check_migrants,
     run_fleet,
     run_island,

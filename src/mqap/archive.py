@@ -1,13 +1,14 @@
 """Bounded archive of mutually non-dominated solutions.
 
-Each island owns one archive for the whole run.  Inserts keep mutual
-non-dominance and reject permutation duplicates; when the archive outgrows
-its capacity the least crowded members are evicted first.
+Each island owns one archive for the whole run; ``island.archive_merge``
+joins a fleet's archives at the end.  Inserts keep mutual non-dominance
+and reject permutation duplicates; when the archive outgrows its capacity
+the least crowded members are evicted first.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -82,11 +83,3 @@ class Archive:
         self._perm_keys.discard(evicted.perm_key())
         if self.evictions is not None:
             self.evictions.append(evicted)
-
-
-def archive_merge(archives: Sequence[Archive]) -> list[Solution]:
-    """Union of archives filtered to the global non-dominated, de-duplicated set."""
-    merged = Archive(capacity=max(1, sum(len(archive) for archive in archives)))
-    for archive in archives:
-        merged.insert(archive.members)
-    return merged.members

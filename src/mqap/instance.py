@@ -27,28 +27,6 @@ class SwapOperands(NamedTuple):
     e: np.ndarray  # (n, n) E[i, j] = d_ii + d_jj - d_ij - d_ji
 
 
-class cached_property:
-    """``functools.cached_property`` without the class-wide lock it takes before Python 3.12.
-
-    Fleets fork islands from whichever thread runs them; a child forked
-    while another thread held that lock would wait on it forever.  Two
-    threads may both compute a value on first use; they compute the same.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
-
-
 class InstanceFormatError(ValueError):
     """Malformed instance data (text or matrices)."""
 
@@ -78,6 +56,10 @@ class Instance:
     flows: tuple[np.ndarray, ...]
     name: str = ""
     metadata: dict[str, str] = field(default_factory=dict)
+    # (n^2, m) int64: column r is flow matrix r flattened, for ``evaluate_batch``.
+    flow_columns: np.ndarray = field(init=False, repr=False)
+    # The operands of ``swap_delta_matrix`` that depend only on the instance.
+    swap_operands: SwapOperands = field(init=False, repr=False)
 
     def __post_init__(self):
         self.distances = np.ascontiguousarray(self.distances, dtype=np.int64)
@@ -99,32 +81,21 @@ class Instance:
             raise InstanceFormatError(
                 "entry magnitudes too large for exact 64-bit objectives"
             )
-
-    @property
-    def m(self) -> int:
-        return len(self.flows)
-
-    @cached_property
-    def flow_columns(self) -> np.ndarray:
-        """(n^2, m) int64: column r is flow matrix r flattened, the operand of ``evaluate_batch``."""
-        return np.stack(self.flows).reshape(self.m, self.n * self.n).T.copy()
-
-    @cached_property
-    def swap_operands(self) -> SwapOperands:
-        """Built on the first neighbourhood scan, so NSGA-II runs never pay for it.
-
-        The kernel's product sums 2n terms of at most max_d * max_f each:
-        float64 BLAS is exact while that total stays below 2^53.
-        """
-        d, n = self.distances, self.n
+        # The swap kernel's product sums 2n terms of at most max_d * max_f
+        # each: float64 BLAS is exact while that total stays below 2^53.
         flows = np.stack(self.flows)
-        exact = 2 * n * int(d.max()) * int(flows.max()) < _FLOAT64_EXACT
-        dd = np.diagonal(d)
-        return SwapOperands(
+        d, dd = self.distances, np.diagonal(self.distances)
+        exact = 2 * self.n * max_d * max_f < _FLOAT64_EXACT
+        self.flow_columns = flows.reshape(self.m, self.n * self.n).T.copy()
+        self.swap_operands = SwapOperands(
             flows=flows,
             d_cat=np.concatenate((d.T, d), axis=1, dtype=np.float64 if exact else np.int64),
             e=dd[:, None] + dd[None, :] - d - d.T,
         )
+
+    @property
+    def m(self) -> int:
+        return len(self.flows)
 
 
 @dataclass(frozen=True)
@@ -194,9 +165,6 @@ def parse_instance(source: str | IO[str]) -> Instance:
         raise TokenCountMismatchError(
             f"{len(body)} entries do not form whole {n}x{n} matrices"
         )
-    if any(v < 0 for v in body):
-        raise NegativeEntryError("matrix entries must be non-negative")
-
     arr = np.array(body, dtype=np.int64)
     mats = arr.reshape(-1, n, n)
     name = metadata.pop("name", "")

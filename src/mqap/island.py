@@ -14,6 +14,7 @@ archive back as arrays.  A lone island runs inline and forks nothing.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import time
 import traceback
@@ -23,12 +24,12 @@ from typing import Protocol
 
 import numpy as np
 
-from .archive import Archive, archive_merge
+from .archive import Archive
 from .evaluation import Solution, make_solutions, random_solutions
 from .genetics import Rng, cycle_crossover, random_swap, swap_mutation, tournament_select
 from .instance import Instance
 from .localsearch import Clock, dominance_based_local_search
-from .ranking import Fitness, elitist_integration, rank_and_crowd
+from .ranking import Fitness, elitist_integration, non_dominated_mask, rank_and_crowd
 
 MEMETIC = "memetic"
 NSGA2 = "nsga2"
@@ -173,6 +174,16 @@ def _distinct_permutations(solutions: list[Solution]) -> list[Solution]:
             seen.add(key)
             out.append(sol)
     return out
+
+
+def archive_merge(archives: Sequence[Archive]) -> list[Solution]:
+    """The non-dominated members of all archives, each permutation once, in first-occurrence order.
+
+    Members with equal objective vectors but distinct permutations all stay.
+    """
+    pool = _distinct_permutations([sol for archive in archives for sol in archive.members])
+    objectives = np.array([sol.objectives for sol in pool], dtype=np.int64)
+    return list(itertools.compress(pool, non_dominated_mask(objectives)))
 
 
 def _select_migrants(archive: Archive, config: IslandConfig, rng: Rng) -> list[Solution]:
@@ -325,7 +336,10 @@ def _run_forked(
     finally:
         for _, child, conn in children:
             child.join()
-            child.close()
+            # Another trial thread's Process.start may have reaped the child and
+            # not yet stored its exit code; close() would then raise.
+            if child.exitcode is not None:
+                child.close()
             conn.close()
         for inbox in inboxes:
             inbox.cancel_join_thread()

@@ -16,10 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-Point = tuple[float, ...]
+from .ranking import non_dominated_mask
 
-# Cells of one boolean mask in non_dominated: 4 MB whatever the front size.
-_MASK_CELLS = 1 << 22
+Point = tuple[float, ...]
 
 
 class EmptyUnionError(ValueError):
@@ -65,24 +64,8 @@ def reference_point(global_front: Sequence[Point], offset: float = 0.01) -> Poin
 
 def non_dominated(points: Sequence[Point]) -> list[Point]:
     """Minimization non-dominated filter keeping first occurrences, in input order."""
-    if not points:
-        return []
-    objs = np.asarray(points, dtype=float)
-    # Stable lexicographic order: every dominating row and every earlier
-    # duplicate of a row sorts before it.
-    order = np.lexsort(objs.T[::-1])
-    objs = objs[order]
-    beaten = np.zeros(len(objs), dtype=bool)
-    # Candidates go in column blocks so the mask stays near _MASK_CELLS cells.
-    step = max(1, _MASK_CELLS // len(objs))
-    for lo in range(0, len(objs), step):
-        hi = min(lo + step, len(objs))
-        # below[j, i]: sorted row j is <= sorted row i in every objective.
-        below = np.arange(hi)[:, None] < np.arange(lo, hi)
-        for column in objs.T:
-            below &= column[:hi, None] <= column[lo:hi]
-        beaten[lo:hi] = below.any(axis=0)
-    return [points[i] for i in np.sort(order[~beaten])]
+    distinct = list(dict.fromkeys(map(tuple, points)))
+    return list(itertools.compress(distinct, non_dominated_mask(np.asarray(distinct, dtype=float))))
 
 
 def hypervolume(front: Sequence[Point], ref: Point) -> float:

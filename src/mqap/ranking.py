@@ -1,4 +1,8 @@
-"""Pareto ranking machinery: dominance depth, crowding, and survival.
+"""Pareto ranking machinery: dominance tests, dominance depth, crowding, and survival.
+
+Every comparison between arrays of objective vectors lives here:
+``weakly_dominates`` for ranking and enumeration's sweep,
+``non_dominated_mask`` for the fleet merge and compare's pooled front.
 
 Fitness is the dominance depth (front index) of a solution; diversity is
 the front-local crowding value.  Both are returned as arrays aligned with
@@ -17,6 +21,9 @@ from .evaluation import ObjectiveVector, Solution
 
 Fitness = tuple[int, float]
 
+# Cells of one boolean mask in non_dominated_mask: 4 MB whatever the front size.
+_MASK_CELLS = 1 << 22
+
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     """Minimization Pareto dominance: a <= b everywhere and a != b."""
@@ -33,22 +40,25 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return not_worse and strictly_better
 
 
+def weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) bool: entry [i, j] holds when row a_i <= row b_j in every objective."""
+    a, b = np.asarray(a), np.asarray(b)
+    weak = np.ones((len(a), len(b)), dtype=bool)
+    for col_a, col_b in zip(a.T, b.T):
+        weak &= col_a[:, None] <= col_b
+    return weak
+
+
 def pareto_ranks(objs: np.ndarray) -> np.ndarray:
     """Front index of every row of an (N, m) objective array, 0 = non-dominated.
 
     ``dominated[i, j]`` holds when row i dominates row j; fronts are peeled
     by removing the rows that nothing remaining dominates.
     """
-    objs = np.asarray(objs)
-    size = len(objs)
-    not_worse = np.ones((size, size), dtype=bool)
-    better = np.zeros((size, size), dtype=bool)
-    for col in objs.T:
-        not_worse &= col[:, None] <= col[None, :]
-        better |= col[:, None] < col[None, :]
-    dominated = not_worse & better
+    weak = weakly_dominates(objs, objs)
+    dominated = weak & ~weak.T
     dominator_count = dominated.sum(axis=0)
-    ranks = np.full(size, -1, dtype=np.int64)
+    ranks = np.full(len(dominated), -1, dtype=np.int64)
     rank = 0
     while (ranks < 0).any():
         front = (ranks < 0) & (dominator_count == 0)
@@ -56,6 +66,37 @@ def pareto_ranks(objs: np.ndarray) -> np.ndarray:
         dominator_count -= dominated[front].sum(axis=0)
         rank += 1
     return ranks
+
+
+def non_dominated_mask(objs: np.ndarray) -> np.ndarray:
+    """True for every row of an (N, m) array that no other row dominates.
+
+    Equal rows never dominate each other, so every copy of a surviving row
+    survives.  After one stable lexicographic sort, every row that dominates
+    a row lies in an earlier run of equal rows, so a row is dominated
+    exactly when a row of an earlier run is <= it in every objective.
+    Candidates go in column blocks so each mask stays near ``_MASK_CELLS``.
+    """
+    objs = np.asarray(objs)
+    size = len(objs)
+    if size == 0:
+        return np.ones(0, dtype=bool)
+    order = np.lexsort(objs.T[::-1])
+    objs = objs[order]
+    # run_start[i]: the sorted index of the first row equal to sorted row i.
+    repeat = np.append(False, (objs[1:] == objs[:-1]).all(axis=1))
+    run_start = np.maximum.accumulate(np.where(repeat, 0, np.arange(size)))
+    beaten = np.zeros(size, dtype=bool)
+    step = max(1, _MASK_CELLS // size)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        rows = run_start[hi - 1]  # only rows of earlier runs can dominate
+        below = weakly_dominates(objs[:rows], objs[lo:hi])
+        below &= np.arange(rows)[:, None] < run_start[lo:hi]
+        beaten[lo:hi] = below.any(axis=0)
+    keep = np.empty(size, dtype=bool)
+    keep[order] = ~beaten
+    return keep
 
 
 def front_crowding(objs: np.ndarray) -> np.ndarray:

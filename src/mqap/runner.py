@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .evaluation import Solution
+from .evaluation import Solution, evaluate_batch
 from .instance import Instance, InstanceFormatError, InstanceSpec, generate_uniform, load_instance
 from .island import MEMETIC, IslandConfig, IslandStats, run_fleet
+from .ranking import weakly_dominates
 
 MANIFEST_NAME = "manifest.json"
 REFERENCE_OFFSET = 0.01
@@ -258,15 +259,21 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic) -> RunResult:
 
 
 def _nd_compress(objs: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop rows whose objective vector is strictly dominated (ties kept)."""
-    order = np.argsort(objs.sum(axis=1), kind="stable")
-    objs, perms = objs[order], perms[order]
+    """Drop rows whose objective vector is strictly dominated (ties kept).
+
+    In objective-sum order every dominating row comes first, and each kept
+    row sweeps out the later rows it weakly dominates, except equal ones:
+    those with the same sum.
+    """
+    sums = objs.sum(axis=1)
+    order = np.argsort(sums, kind="stable")
+    objs, perms, sums = objs[order], perms[order], sums[order]
     i = 0
     while i < objs.shape[0]:
         keep = np.ones(objs.shape[0], dtype=bool)
-        tail = objs[i + 1 :]
-        keep[i + 1 :] = np.any(tail < objs[i], axis=1) | np.all(tail == objs[i], axis=1)
-        objs, perms = objs[keep], perms[keep]
+        keep[i + 1 :] = ~weakly_dominates(objs[i : i + 1], objs[i + 1 :])[0]
+        keep[i + 1 :] |= sums[i + 1 :] == sums[i]
+        objs, perms, sums = objs[keep], perms[keep], sums[keep]
         i += 1
     return objs, perms
 
@@ -279,7 +286,6 @@ def enumerate_front(
         raise TooLargeError(
             f"enumeration of n={instance.n} exceeds the n<={limit} guard"
         )
-    d = instance.distances
     best_objs = np.empty((0, instance.m), dtype=np.int64)
     best_perms = np.empty((0, instance.n), dtype=np.int64)
     perm_iter = itertools.permutations(range(instance.n))
@@ -288,14 +294,7 @@ def enumerate_front(
         if not batch:
             break
         perms = np.array(batch, dtype=np.int64)
-        objs = np.stack(
-            [
-                (d[None, :, :] * f[perms[:, :, None], perms[:, None, :]]).sum(axis=(1, 2))
-                for f in instance.flows
-            ],
-            axis=1,
-        )
-        objs, perms = _nd_compress(objs, perms)
+        objs, perms = _nd_compress(evaluate_batch(instance, perms), perms)
         best_objs = np.concatenate([best_objs, objs])
         best_perms = np.concatenate([best_perms, perms])
         best_objs, best_perms = _nd_compress(best_objs, best_perms)

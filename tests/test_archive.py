@@ -134,6 +134,30 @@ def test_merge_deduplicates_shared_permutations():
     assert len(archive_merge([a, b])) == 1
 
 
+def test_merge_keeps_ties_and_shared_permutations_in_first_occurrence_order():
+    a, b = Archive(capacity=5), Archive(capacity=5)
+    a.insert([_sol((4, 4), [0, 1, 2, 3]), _sol((2, 6), [1, 0, 2, 3])])
+    a.insert([_sol((7, 0), [0, 2, 1, 3])])
+    b.insert(
+        [
+            _sol((2, 6), [2, 1, 0, 3]),  # a's objectives, another permutation
+            _sol((4, 4), [0, 1, 2, 3]),  # a permutation both archives hold
+            _sol((8, 1), [3, 1, 2, 0]),  # dominated by a member of a only
+            _sol((3, 5), [0, 3, 2, 1]),
+        ]
+    )
+    assert len(b) == 4
+    merged = archive_merge([a, b])
+    assert [(s.objectives, s.perm.tolist()) for s in merged] == [
+        ((4, 4), [0, 1, 2, 3]),
+        ((2, 6), [1, 0, 2, 3]),
+        ((7, 0), [0, 2, 1, 3]),
+        ((2, 6), [2, 1, 0, 3]),
+        ((3, 5), [0, 3, 2, 1]),
+    ]
+    assert merged[:3] == a.members
+
+
 def test_capacity_validation():
     with pytest.raises(ValueError):
         Archive(capacity=0)

@@ -22,7 +22,7 @@ from mqap import (
 )
 from mqap.evaluation import random_solution, random_solutions
 from mqap.genetics import tournament_select
-from mqap.instance import Instance, InstanceSpec, generate_uniform
+from mqap.instance import InstanceSpec, generate_uniform
 from mqap.island import IslandError, send_migrants
 from mqap.metrics import hypervolume, non_dominated, normalize_fronts, reference_point
 from mqap.ranking import rank_and_crowd
@@ -281,32 +281,27 @@ def test_parallel_trials_fork_fleets_from_pool_threads(tmp_path):
     assert multiprocessing.active_children() == []
 
 
-def test_fleet_forks_while_another_thread_computes_a_cached_instance_operand(monkeypatch):
-    # A trial thread can fork its islands while another trial thread is in
-    # the middle of a first use of an instance's cached operands.
-    original = Instance.flow_columns.func
-    busy, release = threading.Event(), threading.Event()
+def test_fleet_ends_cleanly_when_another_thread_reaped_a_child(monkeypatch):
+    # With parallel trials, another thread's Process.start polls and reaps
+    # every finished child of the process: a join can then return before
+    # that thread has stored the child's exit code.
+    original_join = multiprocessing.process.BaseProcess.join
+    reaped = []
 
-    def slow_flow_columns(instance):
-        if threading.current_thread() is holder:
-            busy.set()
-            release.wait(60)
-        return original(instance)
+    def join_after_another_thread_reaped(self, timeout=None):
+        _, status = os.waitpid(self.pid, 0)
+        reaped.append((self, status))
+        original_join(self, timeout)
 
-    monkeypatch.setattr(Instance.flow_columns, "func", slow_flow_columns)
-    holder = threading.Thread(target=lambda: _instance(n=7).flow_columns, daemon=True)
-    holder.start()
-    assert busy.wait(10)
-    configs = [_config(island_id=i, seed=80 + i, algorithm="nsga2") for i in range(2)]
-    fleets = []
-    runner = threading.Thread(
-        target=lambda: fleets.append(run_fleet(_instance(n=8), configs)), daemon=True
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "join", join_after_another_thread_reaped
     )
-    runner.start()
-    runner.join(timeout=60)
-    release.set()
-    holder.join(timeout=10)
-    assert fleets, "a forked island waited on a lock another thread held at the fork"
+    configs = [_config(island_id=i, seed=90 + i, algorithm="nsga2") for i in range(2)]
+    fleet = run_fleet(_instance(n=8), configs)
+    assert [r.stats.generations for r in fleet.islands] == [5, 5]
+    assert len(reaped) == 1
+    for child, status in reaped:  # what the reaping thread stores afterwards
+        child._popen.returncode = os.waitstatus_to_exitcode(status)
     assert multiprocessing.active_children() == []
 
 

@@ -159,7 +159,7 @@ def test_non_dominated_filter_large_front_in_blocks(monkeypatch):
     points = [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(300)]
     expected = pairwise_non_dominated(points)
     assert non_dominated(points) == expected
-    monkeypatch.setattr("mqap.metrics._MASK_CELLS", 7 * 300)  # 43 column blocks
+    monkeypatch.setattr("mqap.ranking._MASK_CELLS", 7 * 300)  # 43 column blocks
     assert non_dominated(points) == expected
 
 

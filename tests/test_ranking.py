@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mqap import Solution, dominates, elitist_integration, front_crowding, pareto_ranks
-from mqap.ranking import crowding_by_front, rank_and_crowd
+from mqap.ranking import crowding_by_front, non_dominated_mask, rank_and_crowd, weakly_dominates
 
 from conftest import (
     crowding_oracle,
@@ -40,6 +40,30 @@ def test_dominates_basics():
 def test_dominates_dimension_mismatch():
     with pytest.raises(ValueError):
         dominates((1, 2), (1, 2, 3))
+
+
+def _mask_oracle(objs):
+    rows = [tuple(r) for r in objs.tolist()]
+    return [not any(dominates(other, row) for other in rows) for row in rows]
+
+
+@pytest.mark.parametrize("cells", [1 << 22, 7])
+def test_non_dominated_mask_matches_strict_dominance(monkeypatch, cells):
+    # With 7 cells a block holds one column once N >= 4: many blocks.
+    monkeypatch.setattr("mqap.ranking._MASK_CELLS", cells)
+    rng = np.random.default_rng(cells)
+    for case in range(400):
+        m, size = case % 4 + 1, int(rng.integers(0, 41))
+        objs = rng.integers(0, 5, (size, m))
+        if size and case % 2:
+            objs = objs[rng.integers(0, size, size)]  # repeated rows
+        assert non_dominated_mask(objs).tolist() == _mask_oracle(objs), (case, objs)
+
+
+def test_weakly_dominates_is_less_or_equal_everywhere():
+    a = np.array([[1, 2], [2, 2], [3, 0]])
+    b = np.array([[2, 2], [1, 3]])
+    assert weakly_dominates(a, b).tolist() == [[True, True], [True, False], [False, False]]
 
 
 def test_all_non_dominated_rank_zero():
