@@ -52,6 +52,10 @@ RUN_OPTIONS = {
 }
 
 
+# --gen-spec key -> value type; the keys are InstanceSpec's fields.
+GEN_SPEC_KEYS = {"n": int, "m": int, "correlation": float, "seed": int, "max_value": int}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -74,22 +78,20 @@ def parse_config_file(path) -> dict:
 
 
 def parse_gen_spec(text: str) -> InstanceSpec:
-    """Comma-separated generator spec, e.g. 'n=30,m=2,correlation=0,seed=7'."""
+    """Comma-separated generator spec, e.g. 'n=30,m=2,correlation=0,seed=7'; absent keys default."""
     fields = {}
     for part in text.split(","):
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        key, _, value = map(str.strip, part.partition("="))
+        if key not in GEN_SPEC_KEYS:
+            raise ValueError(
+                f"generator spec {text!r} has unknown key {key!r}; allowed: {', '.join(GEN_SPEC_KEYS)}"
+            )
+        fields[key] = value
     missing = [key for key in ("n", "m") if key not in fields]
     if missing:
         raise ValueError(f"generator spec {text!r} lacks {', '.join(missing)}")
     try:
-        return InstanceSpec(
-            n=int(fields["n"]),
-            m=int(fields["m"]),
-            correlation=float(fields.get("correlation", 0.0)),
-            seed=int(fields.get("seed", 0)),
-            max_value=int(fields.get("max_value", 100)),
-        )
+        return InstanceSpec(**{key: GEN_SPEC_KEYS[key](value) for key, value in fields.items()})
     except ValueError as exc:
         raise ValueError(f"generator spec {text!r}: {exc}") from exc
 
@@ -160,6 +162,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not 0 < args.alpha < 1:  # NaN too
+        raise ConfigError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     sets = [load_result_set(d) for d in args.result_dirs]
     rows = compare_result_sets(sets, alpha=args.alpha)
     for row in rows:

@@ -15,6 +15,7 @@ archive back as arrays.  A lone island runs inline and forks nothing.
 from __future__ import annotations
 
 import itertools
+import math
 import queue
 import time
 import traceback
@@ -28,36 +29,36 @@ from .archive import Archive
 from .evaluation import Solution, make_solutions, random_solutions
 from .genetics import Rng, cycle_crossover, random_swap, swap_mutation, tournament_select
 from .instance import Instance
-from .localsearch import Clock, dominance_based_local_search
+from .localsearch import dominance_based_local_search
 from .ranking import Fitness, elitist_integration, non_dominated_mask, rank_and_crowd
 
 MEMETIC = "memetic"
 NSGA2 = "nsga2"
 
 
-@dataclass(frozen=True)
+@dataclass(kw_only=True)
 class IslandConfig:
-    island_id: int = 0
-    population_size: int = 20
+    """Settings every island of a fleet shares, named as in ``mqap run``; islands differ by seed."""
+
+    algorithm: str = MEMETIC
+    population: int = 20
+    generations: int = 100
+    time_budget: float | None = None  # seconds; None, 0 or less: no budget
     epoch: int = 5
     migrants: int = 2
-    g_max: int = 100
     pb_c: float = 0.9
     pb_m: float = 0.01
     ls_secs: float = 5.0
-    algorithm: str = MEMETIC
-    seed: int = 0
-    time_budget: float | None = None
     archive_capacity: int = 100
     tournament_k: int = 2
 
     def __post_init__(self):
         for name, low in (
-            ("population_size", 2),
+            ("population", 2),
+            ("generations", 0),
             ("epoch", 1),
             ("migrants", 1),
             ("archive_capacity", 1),
-            ("g_max", 0),
             ("tournament_k", 1),
         ):
             if getattr(self, name) < low:
@@ -71,6 +72,11 @@ class IslandConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if not self.ls_secs > 0:  # NaN too: it would switch local search off
             raise ValueError(f"ls_secs must be positive, got {self.ls_secs}")
+        if self.time_budget is not None:
+            if math.isnan(self.time_budget):  # no clock reading is >= NaN
+                raise ValueError("time_budget_secs must be a number, got nan")
+            if self.time_budget <= 0:
+                self.time_budget = None
         if self.algorithm not in (MEMETIC, NSGA2):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
@@ -138,8 +144,8 @@ def _make_offspring(
     children: list[np.ndarray] = []
     seen: set[bytes] = set()
     attempts = 0
-    max_attempts = 3 * config.population_size
-    while len(children) < config.population_size:
+    max_attempts = 3 * config.population
+    while len(children) < config.population:
         attempts += 1
         p1 = tournament_select(population, config.tournament_k, fitness, rng)
         p2 = tournament_select(population, config.tournament_k, fitness, rng)
@@ -162,7 +168,7 @@ def _make_offspring(
                 continue
             seen.add(key)
             children.append(child)
-    return make_solutions(instance, children[: config.population_size])
+    return make_solutions(instance, children[: config.population])
 
 
 def _distinct_permutations(solutions: list[Solution]) -> list[Solution]:
@@ -198,15 +204,16 @@ def _select_migrants(archive: Archive, config: IslandConfig, rng: Rng) -> list[S
 def run_island(
     config: IslandConfig,
     instance: Instance,
+    seed: int,
+    island_id: int = 0,
     inboxes: Sequence[Inbox] = (),
-    clock: Clock = time.monotonic,
 ) -> IslandResult:
     """Generation loop of one island, memetic or NSGA-II.
 
     Per generation: breed offspring into the archive, improve them into a
     survival pool, drain migrants into the archive, ship tournament-selected
     migrants every ``epoch`` generations, then keep the fitness-best
-    ``population_size`` of pool plus migrants and refill with random
+    ``population`` of pool plus migrants and refill with random
     solutions.  The population's fitness keys travel with it into the next
     tournament; a refill re-ranks the whole population.  The algorithms
     differ only in the improvement step: the memetic island runs the local
@@ -218,26 +225,26 @@ def run_island(
     id; the island drains its own and sends to all others.  Without
     inboxes the island runs alone and draws no migrant tournament.
     """
-    inbox = inboxes[config.island_id] if inboxes else queue.SimpleQueue()
+    inbox = inboxes[island_id] if inboxes else queue.SimpleQueue()
     neighbours = [q for q in inboxes if q is not inbox]
-    rng = Rng(config.seed)
-    stats = IslandStats(island_id=config.island_id)
-    start = clock()
+    rng = Rng(seed)
+    stats = IslandStats(island_id=island_id)
+    start = time.monotonic()
     archive = Archive(capacity=config.archive_capacity)
 
-    population = random_solutions(instance, rng, config.population_size)
+    population = random_solutions(instance, rng, config.population)
     archive.insert(population)
     fitness = rank_and_crowd(population)
 
     generation = 1
-    while generation <= config.g_max:
-        if config.time_budget is not None and clock() - start >= config.time_budget:
+    while generation <= config.generations:
+        if config.time_budget is not None and time.monotonic() - start >= config.time_budget:
             break
         offspring = _make_offspring(instance, population, fitness, config, rng)
         archive.insert(offspring)
         if config.algorithm == MEMETIC:
             improved = dominance_based_local_search(
-                archive, config.ls_secs, instance, rng, clock, extra=offspring
+                archive, config.ls_secs, instance, rng, extra=offspring
             )
             pool = _distinct_permutations(improved)
             archive.insert(pool)
@@ -253,8 +260,8 @@ def run_island(
             stats.migrants_sent += send_migrants(neighbours, selected)
             stats.send_events += 1
 
-        population, fitness = elitist_integration(pool, migrants, config.population_size)
-        refill = config.population_size - len(population)
+        population, fitness = elitist_integration(pool, migrants, config.population)
+        refill = config.population - len(population)
         if refill:
             fresh = random_solutions(instance, rng, refill)
             archive.insert(fresh)
@@ -263,7 +270,7 @@ def run_island(
         stats.generations = generation
         generation += 1
 
-    stats.wall_time = clock() - start
+    stats.wall_time = time.monotonic() - start
     return IslandResult(archive=archive, stats=stats)
 
 
@@ -274,52 +281,47 @@ class FleetResult:
     wall_time: float
 
 
-def run_fleet(
-    instance: Instance,
-    configs: list[IslandConfig],
-    clock: Clock = time.monotonic,
-) -> FleetResult:
-    """Run one fleet on the complete migration graph, join, and merge archives.
+def run_fleet(instance: Instance, config: IslandConfig, seeds: Sequence[int]) -> FleetResult:
+    """Run one island per seed on the complete migration graph, join, and merge archives.
 
-    A lone island runs inline.  In a larger fleet island 0 runs in this
-    process and every other island in one forked child, all at once; an
-    island that fails raises ``IslandError`` naming it, after every child
-    has been stopped.  ``islands`` lists the results in island-id order.
+    Island ``i`` runs ``seeds[i]``.  A lone island runs inline.  In a larger
+    fleet island 0 runs in this process and every other island in one
+    forked child, all at once; an island that fails raises ``IslandError``
+    naming it, after every child has been stopped.  ``islands`` lists the
+    results in island-id order.
     """
-    start = clock()
-    configs = sorted(configs, key=lambda cfg: cfg.island_id)
-    if not configs or [cfg.island_id for cfg in configs] != list(range(len(configs))):
-        raise ValueError("island ids must be 0..N-1")
-    if len(configs) == 1:
-        results = [run_island(configs[0], instance, (), clock)]
+    start = time.monotonic()
+    if not seeds:
+        raise ValueError("a fleet needs at least one island seed")
+    if len(seeds) == 1:
+        results = [run_island(config, instance, seeds[0])]
     else:
-        results = _run_forked(instance, configs, clock)
+        results = _run_forked(instance, config, seeds)
     front = archive_merge([r.archive for r in results])
-    return FleetResult(front=front, islands=results, wall_time=clock() - start)
+    return FleetResult(front=front, islands=results, wall_time=time.monotonic() - start)
 
 
 def _run_forked(
-    instance: Instance, configs: list[IslandConfig], clock: Clock
+    instance: Instance, config: IslandConfig, seeds: Sequence[int]
 ) -> list[IslandResult]:
     import multiprocessing  # only fleets pay for its import
 
     ctx = multiprocessing.get_context("fork")
-    inboxes = [ctx.Queue() for _ in configs]
+    inboxes = [ctx.Queue() for _ in seeds]
     children = []
     try:
-        for config in configs[1:]:
+        for island_id, seed in enumerate(seeds[1:], start=1):
             here, there = ctx.Pipe()
-            child = ctx.Process(
-                target=_island_child, args=(config, instance, inboxes, clock, there), daemon=True
-            )
+            args = (config, instance, seed, island_id, inboxes, there)
+            child = ctx.Process(target=_island_child, args=args, daemon=True)
             child.start()
             there.close()  # so a child that dies unheard gives EOFError, not a hang
-            children.append((config, child, here))
+            children.append((island_id, child, here))
         try:
-            results = [run_island(configs[0], instance, inboxes, clock)]
+            results = [run_island(config, instance, seeds[0], 0, inboxes)]
         except Exception as exc:
             raise IslandError(f"island 0 failed: {exc!r}") from exc
-        results += [_receive(config, child, conn) for config, child, conn in children]
+        results += [_receive(config, island_id, child, conn) for island_id, child, conn in children]
         # Every island is done and every child still alive: read away the
         # batches nobody drained, so that every queue feeder thread, here
         # and in the children, can flush and exit, then release the children.
@@ -347,7 +349,7 @@ def _run_forked(
     return results
 
 
-def _island_child(config, instance, inboxes, clock, conn) -> None:
+def _island_child(config, instance, seed, island_id, inboxes, conn) -> None:
     """A forked island: send back its archive arrays and stats, or its traceback.
 
     The child then waits for the caller's word to exit, so that its queue
@@ -356,7 +358,7 @@ def _island_child(config, instance, inboxes, clock, conn) -> None:
     for inbox in inboxes:
         inbox.cancel_join_thread()  # an orphan must not wait on pipes nobody reads
     try:
-        result = run_island(config, instance, inboxes, clock)
+        result = run_island(config, instance, seed, island_id, inboxes)
         message = (*result.archive.to_arrays(), result.stats)
     except Exception:
         message = traceback.format_exc()
@@ -367,16 +369,16 @@ def _island_child(config, instance, inboxes, clock, conn) -> None:
         pass
 
 
-def _receive(config: IslandConfig, child, conn) -> IslandResult:
+def _receive(config: IslandConfig, island_id: int, child, conn) -> IslandResult:
     try:
         message = conn.recv()
     except EOFError:
         child.join()
         raise IslandError(
-            f"island {config.island_id} exited with code {child.exitcode} before sending its result"
+            f"island {island_id} exited with code {child.exitcode} before sending its result"
         ) from None
     if isinstance(message, str):
-        raise IslandError(f"island {config.island_id} failed:\n{message}")
+        raise IslandError(f"island {island_id} failed:\n{message}")
     perms, objectives, stats = message
     return IslandResult(Archive.from_arrays(config.archive_capacity, perms, objectives), stats)
 

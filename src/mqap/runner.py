@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 from . import metrics
 from .evaluation import Solution, evaluate_batch
 from .instance import Instance, InstanceFormatError, InstanceSpec, generate_uniform, load_instance
-from .island import MEMETIC, IslandConfig, IslandStats, run_fleet
+from .island import IslandConfig, IslandStats, run_fleet
 from .ranking import weakly_dominates
 
 MANIFEST_NAME = "manifest.json"
@@ -51,7 +50,7 @@ def load_instance_checked(path) -> Instance:
         raise InstanceLoadError(f"cannot load {path}: {exc}") from exc
 
 
-def default_population_size(island_count: int) -> int:
+def default_population(island_count: int) -> int:
     """Split a 100-individual budget across islands, floored at 13 for large fleets."""
     if island_count > 11:
         return 13
@@ -66,33 +65,25 @@ def island_seed(trial_seed: int, island_id: int) -> int:
     return trial_seed * 1000 + island_id
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(IslandConfig):
+    """One ``mqap run``: the shared island settings plus the experiment around them."""
+
     instance_path: str | None = None
     gen_spec: InstanceSpec | None = None
-    algorithm: str = MEMETIC
     island_count: int = 1
     trials: int = 30
     base_seed: int = 1
-    generations: int = 100
-    time_budget: float | None = 300.0
-    epoch: int = 5
-    migrants: int = 2
-    pb_c: float = 0.9
-    pb_m: float = 0.01
-    ls_secs: float = 5.0
-    population: int | None = None
-    archive_capacity: int = 100
-    tournament_k: int = 2
     output_dir: str = "results"
     parallel_trials: int = 1
+    time_budget: float | None = 300.0
+    population: int | None = None  # None: default_population(island_count)
 
     def __post_init__(self):
         for name, value, low in (
             ("trials", self.trials, 1),
             ("island_count", self.island_count, 1),
             ("parallel_trials", self.parallel_trials, 1),
-            ("generations", self.generations, 0),
             # random.Random seeds with abs(), so seed -s would replay seed s.
             ("seed", self.base_seed, 0),
         ):
@@ -100,42 +91,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.instance_path is None and self.gen_spec is None:
             raise ValueError("either an instance path or a generator spec is required")
-        if self.time_budget is not None:
-            if math.isnan(self.time_budget):  # no clock reading is >= NaN
-                raise ValueError("time_budget_secs must be a number, got nan")
-            if self.time_budget <= 0:
-                self.time_budget = None
         if self.population is None:
-            self.population = default_population_size(self.island_count)
-        if self.population < 2:
-            raise ValueError(f"population must be >= 2, got {self.population}")
-        self.island_configs(0)  # ValueError on invalid island parameters
+            self.population = default_population(self.island_count)
+        super().__post_init__()
 
     def resolve_instance(self) -> Instance:
         if self.instance_path is not None:
             return load_instance_checked(self.instance_path)
         return generate_uniform(self.gen_spec)
-
-    def island_configs(self, trial_index: int) -> list[IslandConfig]:
-        seed = trial_seed(self.base_seed, trial_index)
-        return [
-            IslandConfig(
-                island_id=i,
-                population_size=self.population,
-                epoch=self.epoch,
-                migrants=self.migrants,
-                g_max=self.generations,
-                pb_c=self.pb_c,
-                pb_m=self.pb_m,
-                ls_secs=self.ls_secs,
-                algorithm=self.algorithm,
-                seed=island_seed(seed, i),
-                time_budget=self.time_budget,
-                archive_capacity=self.archive_capacity,
-                tournament_k=self.tournament_k,
-            )
-            for i in range(self.island_count)
-        ]
 
 
 @dataclass
@@ -202,9 +165,8 @@ def read_front_file(path) -> tuple[dict[str, str], list[tuple[tuple[int, ...], t
     return header, rows
 
 
-def run_experiment(config: ExperimentConfig, clock=time.monotonic) -> RunResult:
+def run_experiment(config: ExperimentConfig) -> RunResult:
     instance = config.resolve_instance()
-    fleets = [config.island_configs(index) for index in range(config.trials)]
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -214,7 +176,8 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic) -> RunResult:
     result = RunResult(instance_name=instance.name or "unnamed")
 
     def one_trial(index: int) -> TrialRecord:
-        fleet = run_fleet(instance, fleets[index], clock)
+        seed = trial_seed(config.base_seed, index)
+        fleet = run_fleet(instance, config, [island_seed(seed, i) for i in range(config.island_count)])
         name = f"trial_{index:04d}.front"
         write_front_file(
             out_dir / name,
@@ -223,12 +186,12 @@ def run_experiment(config: ExperimentConfig, clock=time.monotonic) -> RunResult:
                 "instance": result.instance_name,
                 "algorithm": config.algorithm,
                 "islands": str(config.island_count),
-                "seed": str(trial_seed(config.base_seed, index)),
+                "seed": str(seed),
             },
         )
         return TrialRecord(
             trial=index,
-            seed=trial_seed(config.base_seed, index),
+            seed=seed,
             front_file=name,
             front_size=len(fleet.front),
             wall_time=fleet.wall_time,
@@ -369,6 +332,8 @@ def compare_result_sets(
                 f"instance {instance_name!r} appears in only one result set; "
                 "nothing to compare it against"
             )
+        if not any(front for rs in group for front in rs.fronts):
+            raise InstanceMismatchError(f"instance {instance_name!r} has no points in any front")
         widths = {rs.directory: {len(p) for front in rs.fronts for p in front} for rs in group}
         if len(set().union(*widths.values())) > 1:
             listed = ", ".join(f"{d}: {sorted(w)}" for d, w in widths.items())

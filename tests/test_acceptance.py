@@ -135,14 +135,8 @@ def test_criterion_5_small_instance_optimality():
         exact = [tuple(float(v) for v in s.objectives) for s in enumerate_front(inst)]
         passes = 0
         for trial in range(10):
-            config = IslandConfig(
-                island_id=0,
-                population_size=20,
-                g_max=50,
-                ls_secs=0.5,
-                seed=island_seed(trial_seed(100 + inst_seed, trial), 0),
-            )
-            result = run_island(config, inst)
+            config = IslandConfig(population=20, generations=50, ls_secs=0.5)
+            result = run_island(config, inst, island_seed(trial_seed(100 + inst_seed, trial), 0))
             mine = [tuple(float(v) for v in s.objectives) for s in result.archive.members]
             (norm_exact, norm_mine), _ = normalize_fronts([exact, mine])
             ref = reference_point(non_dominated(norm_exact + norm_mine))
@@ -222,16 +216,11 @@ def test_criterion_6_archive_invariants():
     assert ok
 
 
-def _stall_config(island_id):
-    return IslandConfig(
-        island_id=island_id,
-        population_size=15,
-        epoch=5,
-        migrants=2,
-        g_max=20,
-        ls_secs=0.05,
-        seed=7000 + island_id,
-    )
+STALL_CONFIG = IslandConfig(population=15, epoch=5, migrants=2, generations=20, ls_secs=0.05)
+
+
+def _stall_seeds(count):
+    return [7000 + island_id for island_id in range(count)]
 
 
 def _stall_instance():
@@ -246,7 +235,7 @@ def _islands_on_threads(inst, count, stalled=None, stall_secs=0.0, timeout=45.0)
     def island_thread(island_id):
         if island_id == stalled:
             time.sleep(stall_secs)
-        results[island_id] = run_island(_stall_config(island_id), inst, inboxes)
+        results[island_id] = run_island(STALL_CONFIG, inst, 7000 + island_id, island_id, inboxes)
 
     threads = [threading.Thread(target=island_thread, args=(i,), daemon=True) for i in range(count)]
     for t in threads:
@@ -284,18 +273,18 @@ def test_criterion_7_asynchrony_under_stall():
 def test_criterion_7_asynchrony_under_stall_in_fleet_processes(monkeypatch):
     start = time.monotonic()
     inst = _stall_instance()
-    baseline = run_fleet(inst, [_stall_config(i) for i in range(3)])
+    baseline = run_fleet(inst, STALL_CONFIG, _stall_seeds(3))
     baseline_wall = max(r.stats.wall_time for r in baseline.islands)
 
     original = mqap.island.run_island
 
-    def stalling_run_island(config, *args):
-        if config.island_id == 2:  # runs in island 2's forked child
+    def stalling_run_island(config, instance, seed, island_id=0, *args):
+        if island_id == 2:  # runs in island 2's forked child
             time.sleep(3.0)
-        return original(config, *args)
+        return original(config, instance, seed, island_id, *args)
 
     monkeypatch.setattr(mqap.island, "run_island", stalling_run_island)
-    fleet = run_fleet(inst, [_stall_config(i) for i in range(3)])
+    fleet = run_fleet(inst, STALL_CONFIG, _stall_seeds(3))
 
     unstalled_walls = [fleet.islands[i].stats.wall_time for i in range(2)]
     all_complete = all(r.stats.generations == 20 for r in fleet.islands)
@@ -319,20 +308,11 @@ def test_criterion_8_directional_comparison_reported():
     inst = generate_uniform(InstanceSpec(n=30, m=2, correlation=0.0, seed=77))
 
     def fleet(algorithm, pair_seed):
-        configs = [
-            IslandConfig(
-                island_id=i,
-                population_size=25,
-                epoch=5,
-                migrants=2,
-                g_max=30,
-                ls_secs=1.0,
-                algorithm=algorithm,
-                seed=island_seed(trial_seed(500, pair_seed), i),
-            )
-            for i in range(4)
-        ]
-        return run_fleet(inst, configs)
+        config = IslandConfig(
+            population=25, epoch=5, migrants=2, generations=30, ls_secs=1.0, algorithm=algorithm
+        )
+        seeds = [island_seed(trial_seed(500, pair_seed), i) for i in range(4)]
+        return run_fleet(inst, config, seeds)
 
     def paired(pair_seed):
         memetic = fleet("memetic", pair_seed)

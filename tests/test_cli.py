@@ -11,7 +11,7 @@ from mqap.runner import (
     ExperimentConfig,
     InstanceMismatchError,
     TooLargeError,
-    default_population_size,
+    default_population,
     enumerate_front,
     load_result_set,
     read_front_file,
@@ -110,8 +110,8 @@ def test_migrant_counters_eleven_islands(tmp_path):
 
 
 def test_default_population_sizing():
-    assert [default_population_size(k) for k in (5, 8, 11, 16, 21)] == [20, 13, 10, 13, 13]
-    assert default_population_size(1) == 100
+    assert [default_population(k) for k in (5, 8, 11, 16, 21)] == [20, 13, 10, 13, 13]
+    assert default_population(1) == 100
 
 
 def test_single_island_runs_are_reproducible(tmp_path):
@@ -219,6 +219,15 @@ def _write_bad_inputs(directory):
     for name, manifest in (("not-json", "{trial_records"), ("no-records", '{"instance": "x"}')):
         (directory / name).mkdir()
         (directory / name / "manifest.json").write_text(manifest, encoding="utf-8")
+    # One-trial result directories: a valid one, and one whose front holds no points.
+    for name, instance, front in (("one-trial", "demo", "0 1 | 25 75\n"), ("no-points", "blank", "")):
+        (directory / name).mkdir()
+        (directory / name / "trial_0000.front").write_text(
+            f"! instance={instance}\n{front}", encoding="utf-8"
+        )
+        manifest = {"instance": instance, "algorithm": "memetic", "islands": 1,
+                    "trial_records": [{"trial": 0, "seed": 0, "front_file": "trial_0000.front"}]}
+        (directory / name / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
 # (id, argv, the setting the error must name or None)
@@ -227,6 +236,11 @@ BAD_INPUTS = [
     ("spec-without-n", ["run", "--gen-spec", "m=2"], None),
     ("spec-n1", ["run", "--gen-spec", "n=1,m=2"], "n"),
     ("spec-negative-seed", ["run", "--gen-spec", "n=8,m=2,seed=-3"], "seed"),
+    ("spec-unknown-key",
+     ["run", "--gen-spec", "n=6,m=2,corelation=0.9", "--trials", 1, "--generations", 1],
+     "corelation"),
+    ("spec-trailing-comma",
+     ["run", "--gen-spec", "n=6,m=2,", "--trials", 1, "--generations", 1], None),
     ("migrants-over-capacity",
      ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500], None),
     ("tournament-k-0", ["run", "--gen-spec", "n=6,m=2", "--tournament-k", 0], None),
@@ -261,6 +275,12 @@ BAD_INPUTS = [
     ("hv-ragged-front", ["hv", "--front", "ragged.front"], "line 3"),
     ("compare-manifest-not-json", ["compare", "not-json", "not-json"], None),
     ("compare-manifest-without-records", ["compare", "no-records", "no-records"], None),
+    ("compare-alpha-2", ["compare", "one-trial", "one-trial", "--alpha", 2], "--alpha"),
+    ("compare-alpha-1", ["compare", "one-trial", "one-trial", "--alpha", 1], "--alpha"),
+    ("compare-alpha-0", ["compare", "one-trial", "one-trial", "--alpha", 0], "--alpha"),
+    ("compare-alpha-negative", ["compare", "one-trial", "one-trial", "--alpha", -1], "--alpha"),
+    ("compare-alpha-nan", ["compare", "one-trial", "one-trial", "--alpha", "nan"], "--alpha"),
+    ("compare-no-points", ["compare", "no-points", "no-points"], "blank"),
 ]
 
 
@@ -305,7 +325,7 @@ def test_manifest_holds_every_resolved_setting(tmp_path):
     for setting in fields(ExperimentConfig):
         assert setting.name in manifest, setting.name
     assert manifest["islands"] == manifest["island_count"] == 2
-    assert manifest["population"] == default_population_size(2)
+    assert manifest["population"] == default_population(2)
     assert (manifest["pb_c"], manifest["pb_m"], manifest["ls_secs"]) == (0.7, 0.01, 0.05)
     assert manifest["gen_spec"]["n"] == 6 and manifest["instance_path"] is None
     stats = manifest["trial_records"][0]["islands"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -31,17 +32,18 @@ from mqap.runner import ExperimentConfig, run_experiment
 from conftest import brute_force_non_dominated
 
 
+SEED = 3  # of every test that runs one island
+
+
 def _config(**overrides):
     base = dict(
-        island_id=0,
-        population_size=10,
+        population=10,
         epoch=5,
         migrants=2,
-        g_max=5,
+        generations=5,
         pb_c=0.9,
         pb_m=0.05,
         ls_secs=0.05,
-        seed=3,
         archive_capacity=50,
     )
     base.update(overrides)
@@ -55,10 +57,10 @@ def _instance(n=10, m=2, seed=1):
 @pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
 def test_zero_generations_archives_non_dominated_initials(algorithm):
     inst = _instance()
-    config = _config(g_max=0, algorithm=algorithm)
-    result = run_island(config, inst)
-    rng = Rng(config.seed)
-    initial = [random_solution(inst, rng) for _ in range(config.population_size)]
+    config = _config(generations=0, algorithm=algorithm)
+    result = run_island(config, inst, SEED)
+    rng = Rng(SEED)
+    initial = [random_solution(inst, rng) for _ in range(config.population)]
     expected = brute_force_non_dominated([s.objectives for s in initial])
     assert {s.objectives for s in result.archive.members} == expected
     assert result.stats.generations == 0
@@ -66,7 +68,7 @@ def test_zero_generations_archives_non_dominated_initials(algorithm):
 
 @pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
 def test_archive_mutually_non_dominated(algorithm):
-    result = run_island(_config(algorithm=algorithm), _instance())
+    result = run_island(_config(algorithm=algorithm), _instance(), SEED)
     members = result.archive.members
     assert members
     for a in members:
@@ -79,8 +81,9 @@ def _inboxes(count):
 
 @pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
 def test_send_event_count_matches_epoch(algorithm):
-    # Wired inboxes but a sequential run: exactly floor(g_max/epoch) sends.
-    result = run_island(_config(algorithm=algorithm, g_max=12, epoch=5), _instance(), _inboxes(2))
+    # Wired inboxes but a sequential run: exactly floor(generations/epoch) sends.
+    config = _config(algorithm=algorithm, generations=12, epoch=5)
+    result = run_island(config, _instance(), SEED, 0, _inboxes(2))
     assert result.stats.send_events == 2
     assert result.stats.migrants_sent == 2 * 2 * 1  # migrants x events x neighbors
 
@@ -88,9 +91,10 @@ def test_send_event_count_matches_epoch(algorithm):
 def test_migration_roundtrip_sequential():
     inst = _instance()
     inboxes = _inboxes(2)
-    sender = run_island(_config(island_id=0, epoch=1, g_max=4), inst, inboxes)
+    config = _config(epoch=1, generations=4)
+    sender = run_island(config, inst, SEED, 0, inboxes)
     assert sender.stats.send_events == 4
-    receiver = run_island(_config(island_id=1, seed=4, epoch=1, g_max=4), inst, inboxes)
+    receiver = run_island(config, inst, 4, 1, inboxes)
     assert receiver.stats.migrants_received >= sender.stats.migrants_sent / 1
     # Receiver's sends stay queued for island 0; they never block anything.
     assert check_migrants(inboxes[0])
@@ -160,11 +164,7 @@ def test_migrants_are_deep_copies():
 
 def test_fleet_runs_and_merges():
     inst = _instance(n=8)
-    configs = [
-        _config(island_id=i, seed=100 + i, g_max=6, epoch=2, population_size=8)
-        for i in range(3)
-    ]
-    fleet = run_fleet(inst, configs)
+    fleet = run_fleet(inst, _config(generations=6, epoch=2, population=8), [100, 101, 102])
     assert len(fleet.islands) == 3
     assert fleet.front
     for sol in fleet.front:
@@ -176,23 +176,20 @@ def test_fleet_runs_and_merges():
     assert sent > 0 and received <= sent
 
 
-def test_fleet_rejects_bad_island_ids():
-    inst = _instance(n=6)
+def test_fleet_without_seeds_is_rejected():
     with pytest.raises(ValueError):
-        run_fleet(inst, [_config(island_id=3)])
-    with pytest.raises(ValueError):
-        run_fleet(inst, [])
+        run_fleet(_instance(n=6), _config(), [])
 
 
 def _failing_island(failing_id, how):
     original = mqap.island.run_island
 
-    def run_island(config, *args):
-        if config.island_id == failing_id:
+    def run_island(config, instance, seed, island_id=0, *args):
+        if island_id == failing_id:
             if how == "exit":
                 os._exit(3)
             raise RuntimeError("injected island failure")
-        return original(config, *args)
+        return original(config, instance, seed, island_id, *args)
 
     return run_island
 
@@ -210,9 +207,9 @@ def test_fleet_failure_names_the_island_and_leaves_no_process(
 ):
     # Forked children inherit the patched module global.
     monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how))
-    configs = [_config(island_id=i, seed=40 + i, algorithm="nsga2", g_max=30) for i in range(3)]
+    config = _config(algorithm="nsga2", generations=30)
     with pytest.raises(IslandError) as excinfo:
-        run_fleet(_instance(n=8), configs)
+        run_fleet(_instance(n=8), config, [40, 41, 42])
     assert f"island {failing_id}" in str(excinfo.value)
     assert expected in str(excinfo.value)
     assert multiprocessing.active_children() == []
@@ -223,32 +220,29 @@ def _feeder_threads():
 
 
 @pytest.mark.parametrize("short_island", [0, 1])
-def test_unread_inbox_of_a_finished_island_does_not_block_shutdown(short_island):
+def test_unread_inbox_of_a_finished_island_does_not_block_shutdown(short_island, monkeypatch):
     # One island stops after a generation while the other sends it 20
     # migrants a generation for 400 generations: megabytes, far beyond the
     # 64 KiB a pipe holds unread.
-    configs = [
-        _config(
-            island_id=i,
-            seed=60 + i,
-            algorithm="nsga2",
-            population_size=10,
-            g_max=1 if i == short_island else 400,
-            epoch=1,
-            migrants=20,
-        )
-        for i in range(2)
-    ]
+    original = mqap.island.run_island
+
+    def one_short_island(config, instance, seed, island_id=0, *args):
+        if island_id == short_island:
+            config = dataclasses.replace(config, generations=1)
+        return original(config, instance, seed, island_id, *args)
+
+    monkeypatch.setattr(mqap.island, "run_island", one_short_island)
+    config = _config(algorithm="nsga2", population=10, generations=400, epoch=1, migrants=20)
     feeders_before = _feeder_threads()
     done = []
     runner = threading.Thread(
-        target=lambda: done.append(run_fleet(_instance(n=20), configs)), daemon=True
+        target=lambda: done.append(run_fleet(_instance(n=20), config, [60, 61])), daemon=True
     )
     runner.start()
     runner.join(timeout=120)
     assert not runner.is_alive(), "run_fleet hung on an unread inbox"
     stats = [r.stats for r in done[0].islands]
-    assert [st.generations for st in stats] == [cfg.g_max for cfg in configs]
+    assert [st.generations for st in stats] == [1 if i == short_island else 400 for i in range(2)]
     assert stats[1 - short_island].migrants_sent == 400 * 20
     assert multiprocessing.active_children() == []
     # Island 0's queue feeder threads flush and exit once the fleet is closed.
@@ -296,8 +290,7 @@ def test_fleet_ends_cleanly_when_another_thread_reaped_a_child(monkeypatch):
     monkeypatch.setattr(
         multiprocessing.process.BaseProcess, "join", join_after_another_thread_reaped
     )
-    configs = [_config(island_id=i, seed=90 + i, algorithm="nsga2") for i in range(2)]
-    fleet = run_fleet(_instance(n=8), configs)
+    fleet = run_fleet(_instance(n=8), _config(algorithm="nsga2"), [90, 91])
     assert [r.stats.generations for r in fleet.islands] == [5, 5]
     assert len(reaped) == 1
     for child, status in reaped:  # what the reaping thread stores afterwards
@@ -314,9 +307,9 @@ def test_importing_mqap_does_not_import_multiprocessing():
 
 def test_single_island_determinism_in_memory():
     inst = _instance(n=9)
-    config = _config(g_max=6, ls_secs=5.0)
-    a = run_island(config, inst)
-    b = run_island(config, inst)
+    config = _config(generations=6, ls_secs=5.0)
+    a = run_island(config, inst, SEED)
+    b = run_island(config, inst, SEED)
     key = lambda r: sorted((s.objectives, tuple(s.perm.tolist())) for s in r.archive.members)  # noqa: E731
     assert key(a) == key(b)
 
@@ -324,14 +317,14 @@ def test_single_island_determinism_in_memory():
 def test_population_size_restored_every_generation():
     # Indirect check: a run long enough to exercise truncation both ways
     # still produces a healthy archive and completes all generations.
-    result = run_island(_config(g_max=8, population_size=6), _instance(n=8))
+    result = run_island(_config(generations=8, population=6), _instance(n=8), SEED)
     assert result.stats.generations == 8
 
 
 def test_time_budget_halts_early():
-    config = _config(g_max=10_000, time_budget=0.3, ls_secs=0.01)
+    config = _config(generations=10_000, time_budget=0.3, ls_secs=0.01)
     start = time.monotonic()
-    result = run_island(config, _instance(n=12))
+    result = run_island(config, _instance(n=12), SEED)
     assert time.monotonic() - start < 5.0
     assert 0 < result.stats.generations < 10_000
 
@@ -350,14 +343,8 @@ def test_memetic_beats_baseline_on_paired_seeds():
     for seed in range(10):
         results = {}
         for algorithm in ("memetic", "nsga2"):
-            config = _config(
-                algorithm=algorithm,
-                seed=1000 + seed,
-                g_max=15,
-                population_size=12,
-                ls_secs=0.1,
-            )
-            results[algorithm] = run_island(config, inst)
+            config = _config(algorithm=algorithm, generations=15, population=12, ls_secs=0.1)
+            results[algorithm] = run_island(config, inst, 1000 + seed)
         fronts = [
             [tuple(float(v) for v in s.objectives) for s in results[a].archive.members]
             for a in ("memetic", "nsga2")
@@ -374,16 +361,16 @@ def test_refilled_population_is_ranked_before_its_tournaments(algorithm, monkeyp
     # solutions every generation, and a 2-member archive keeps evicting.
     config = _config(
         algorithm=algorithm,
-        population_size=30,
+        population=30,
         archive_capacity=2,
-        g_max=15,
+        generations=15,
         ls_secs=1e6,
     )
     checks = []
     draws = []
 
     def checking_tournament(pool, k, fitness, rng):
-        if len(pool) == config.population_size:
+        if len(pool) == config.population:
             checks.append(list(fitness) == rank_and_crowd(pool))
         return tournament_select(pool, k, fitness, rng)
 
@@ -393,6 +380,6 @@ def test_refilled_population_is_ranked_before_its_tournaments(algorithm, monkeyp
 
     monkeypatch.setattr(mqap.island, "tournament_select", checking_tournament)
     monkeypatch.setattr(mqap.island, "random_solutions", counting_random_solutions)
-    run_island(config, _instance(n=4, m=3))
-    assert len(draws) > config.population_size, "no refill happened"
+    run_island(config, _instance(n=4, m=3), SEED)
+    assert len(draws) > config.population, "no refill happened"
     assert checks and all(checks)
