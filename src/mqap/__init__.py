@@ -1,5 +1,8 @@
 """Asynchronous island-model memetic solver for the multi-objective QAP."""
 
+# Set before the submodule imports: runner reads it for the manifest.
+__version__ = "0.1.0"
+
 from .archive import Archive
 from .evaluation import (
     ObjectiveVector,
@@ -31,5 +34,3 @@ from .localsearch import dominance_based_local_search
 from .metrics import hypervolume, normalize_fronts, reference_point, wilcoxon_rank_sum
 from .ranking import dominates, elitist_integration, front_crowding, pareto_ranks
 from .runner import ExperimentConfig, enumerate_front, run_experiment
-
-__version__ = "0.1.0"

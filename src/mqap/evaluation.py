@@ -14,6 +14,12 @@ Exchanging the facilities at locations i and j changes it by
 where S = d^T F + d F^T pairs location i's distances with the flows of the
 facility at j over every k, and E[i, j] = d_ii + d_jj - d_ij - d_ji times
 G[i, j] = F_ii + F_jj - F_ij - F_ji corrects the k in {i, j} terms exactly.
+
+The swap kernel runs in one dtype per instance, ``Instance.swap_operands``:
+float32 when every value it forms stays below 2^24 in magnitude, float64
+below 2^53, int64 otherwise.  Each holds every integer up to its limit, so
+the deltas are exact integers in all three.  ``evaluate_batch`` always uses
+an int64 product.
 """
 
 from __future__ import annotations
@@ -111,15 +117,16 @@ def swap_delta_matrix(instance: Instance, perm: np.ndarray) -> np.ndarray:
 
     Entry [r, i, j] is the change of cost r when the facilities at locations
     i and j are exchanged: symmetric, with a zero diagonal.  S for all m
-    objectives is one (n, 2n) @ (m, 2n, n) product of
-    ``[d^T | d]`` and ``[F; F^T]`` in the dtype ``Instance.swap_operands``
-    proved exact, cast straight back to int64.
+    objectives is one (n, 2n) @ (m, 2n, n) product of ``[d^T | d]`` and
+    ``[F; F^T]``.  The gather, the product and the closed form all run in
+    the kernel dtype of ``Instance.swap_operands``, and the result comes
+    back in it: exact integer values, stored as float32, float64 or int64.
     """
     ops = instance.swap_operands
     p = np.asarray(perm, dtype=np.int64)
     f = ops.flows.take(p, axis=1).take(p, axis=2)  # C-contiguous, unlike [:, p][:, :, p]
-    stacked = np.concatenate((f, f.transpose(0, 2, 1)), axis=1, dtype=ops.d_cat.dtype)
-    s = (ops.d_cat @ stacked).astype(np.int64, copy=False)
+    stacked = np.concatenate((f, f.transpose(0, 2, 1)), axis=1)
+    s = ops.d_cat @ stacked
     sd = np.diagonal(s, axis1=1, axis2=2)
     fd = np.diagonal(f, axis1=1, axis2=2)
     # E and G are symmetric, so W + W^T is the closed form above.

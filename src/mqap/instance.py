@@ -16,15 +16,25 @@ import numpy as np
 # With n <= 100 and entries <= 10^4 the largest objective is ~1e12, far
 # below 2^63.  The load-time guard below enforces the general bound.
 _INT64_SAFE = 2**62
-_FLOAT64_EXACT = 2**53  # float64 adds non-negative integers exactly up to here
+# Each float dtype holds every integer up to its limit.
+_FLOAT32_EXACT = 2**24
+_FLOAT64_EXACT = 2**53
 
 
 class SwapOperands(NamedTuple):
-    """The operands of ``evaluation.swap_delta_matrix`` that depend only on the instance."""
+    """The operands of ``evaluation.swap_delta_matrix`` that depend only on the instance.
+
+    All three are stored in the kernel dtype, the narrowest of float32,
+    float64 and int64 that holds every value the kernel forms exactly.
+    """
 
     flows: np.ndarray  # (m, n, n) stacked flow matrices
-    d_cat: np.ndarray  # (n, 2n) [d.T | d] in the product dtype
+    d_cat: np.ndarray  # (n, 2n) [d.T | d]
     e: np.ndarray  # (n, n) E[i, j] = d_ii + d_jj - d_ij - d_ji
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.e.dtype
 
 
 class InstanceFormatError(ValueError):
@@ -81,16 +91,22 @@ class Instance:
             raise InstanceFormatError(
                 "entry magnitudes too large for exact 64-bit objectives"
             )
-        # The swap kernel's product sums 2n terms of at most max_d * max_f
-        # each: float64 BLAS is exact while that total stays below 2^53.
+        # Every value the swap kernel forms is an integer of magnitude at most
+        # 4(n+1) * max_d * max_f (its final W + W^T), and every partial sum of
+        # its product is a non-negative integer no larger than the total.  A
+        # float dtype that holds every integer up to that bound is therefore
+        # exact whatever order BLAS sums in.
+        bound = 4 * (self.n + 1) * max_d * max_f
+        kernel = np.int64
+        if bound < _FLOAT64_EXACT:
+            kernel = np.float32 if bound < _FLOAT32_EXACT else np.float64
         flows = np.stack(self.flows)
         d, dd = self.distances, np.diagonal(self.distances)
-        exact = 2 * self.n * max_d * max_f < _FLOAT64_EXACT
         self.flow_columns = flows.reshape(self.m, self.n * self.n).T.copy()
         self.swap_operands = SwapOperands(
-            flows=flows,
-            d_cat=np.concatenate((d.T, d), axis=1, dtype=np.float64 if exact else np.int64),
-            e=dd[:, None] + dd[None, :] - d - d.T,
+            flows=flows.astype(kernel),
+            d_cat=np.concatenate((d.T, d), axis=1, dtype=kernel),
+            e=(dd[:, None] + dd[None, :] - d - d.T).astype(kernel),
         )
 
     @property
@@ -118,6 +134,10 @@ class InstanceSpec:
         ):
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+        if self.n * self.n * self.max_value * self.max_value >= _INT64_SAFE:
+            raise ValueError(
+                f"max_value {self.max_value} is too large for exact 64-bit objectives at n={self.n}"
+            )
         if not -1.0 <= self.correlation <= 1.0:
             raise ValueError(f"correlation must lie in [-1, 1], got {self.correlation}")
 
@@ -146,14 +166,16 @@ def parse_instance(source: str | IO[str]) -> Instance:
 
     if not tokens:
         raise EmptyInputError("no numeric data found")
-    values: list[int] = []
-    for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError as exc:
-            raise InstanceFormatError(f"invalid token {tok!r}") from exc
+    try:
+        # numpy converts each string as int() does, then checks the int64 range.
+        values = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        bad = next(tok for tok in tokens if not _is_int64(tok))
+        raise InstanceFormatError(
+            f"invalid token {bad!r}: entries must be integers in the signed 64-bit range"
+        ) from exc
 
-    n = values[0]
+    n = int(values[0])
     if n < 2:
         raise InstanceFormatError(f"instance size must be >= 2, got {n}")
     body = values[1:]
@@ -165,8 +187,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
         raise TokenCountMismatchError(
             f"{len(body)} entries do not form whole {n}x{n} matrices"
         )
-    arr = np.array(body, dtype=np.int64)
-    mats = arr.reshape(-1, n, n)
+    mats = body.reshape(-1, n, n)
     name = metadata.pop("name", "")
     return Instance(
         n=n,
@@ -175,6 +196,13 @@ def parse_instance(source: str | IO[str]) -> Instance:
         name=name,
         metadata=metadata,
     )
+
+
+def _is_int64(token: str) -> bool:
+    try:
+        return -(2**63) <= int(token) < 2**63
+    except ValueError:
+        return False
 
 
 def write_instance(instance: Instance) -> str:

@@ -30,7 +30,7 @@ def first_dominating_swap(
 
     A neighbor dominates iff its delta is <= 0 in every objective and < 0 in
     at least one, so the whole neighborhood is screened on the batched delta
-    matrix and only the winning pair is materialized.
+    matrix and only the winning pair's deltas become Python ints.
     """
     deltas = swap_delta_matrix(instance, sol.perm)
     improving = (deltas <= 0).all(axis=0) & (deltas < 0).any(axis=0)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics
+from . import __version__, metrics
 from .evaluation import Solution, evaluate_batch
 from .instance import Instance, InstanceFormatError, InstanceSpec, generate_uniform, load_instance
 from .island import IslandConfig, IslandStats, run_fleet
@@ -209,6 +209,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     manifest = {
         "instance": result.instance_name,
         "islands": config.island_count,
+        # Which code and arithmetic produced the fronts.
+        "mqap_version": __version__,
+        "numpy_version": np.__version__,
+        "swap_kernel_dtype": instance.swap_operands.dtype.name,
         **asdict(config),
         "trial_records": [asdict(rec) for rec in result.trials],
     }

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import mqap
 from mqap import Solution, load_instance
 from mqap.cli import build_parser, main, parse_config_file, parse_gen_spec
 from mqap.runner import (
@@ -216,6 +217,7 @@ def _write_bad_inputs(directory):
     (directory / "ragged.front").write_text(
         "! instance=demo\n0 1 | 3 4\n1 0 | 5 6 7\n", encoding="utf-8"
     )
+    (directory / "huge.qap").write_text("2\n0 1\n1 0\n0 3\n2 99999999999999999999\n", encoding="utf-8")
     for name, manifest in (("not-json", "{trial_records"), ("no-records", '{"instance": "x"}')):
         (directory / name).mkdir()
         (directory / name / "manifest.json").write_text(manifest, encoding="utf-8")
@@ -241,6 +243,9 @@ BAD_INPUTS = [
      "corelation"),
     ("spec-trailing-comma",
      ["run", "--gen-spec", "n=6,m=2,", "--trials", 1, "--generations", 1], None),
+    ("spec-max-value-beyond-int64",
+     ["run", "--gen-spec", "n=5,m=2,max_value=100000000000000000000"], "max_value"),
+    ("instance-entry-beyond-int64", ["run", "--instance", "huge.qap"], "99999999999999999999"),
     ("migrants-over-capacity",
      ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500], None),
     ("tournament-k-0", ["run", "--gen-spec", "n=6,m=2", "--tournament-k", 0], None),
@@ -263,6 +268,8 @@ BAD_INPUTS = [
     ("gen-negative-seed", ["gen", "--n", 5, "--m", 2, "--seed", -3, "--out", "results"], "seed"),
     ("gen-correlation-2",
      ["gen", "--n", 5, "--m", 2, "--correlation", 2, "--out", "results"], "correlation"),
+    ("gen-max-value-beyond-int64",
+     ["gen", "--n", 5, "--m", 2, "--max-value", 10**20, "--out", "results"], "max_value"),
     ("hv-ref-not-a-number", ["hv", "--front", "two.front", "--ref", "1,abc"], "--ref"),
     ("hv-ref-wrong-dimension", ["hv", "--front", "two.front", "--ref", "100,100,100"], "--ref"),
     ("hv-ref-nan", ["hv", "--front", "two.front", "--ref", "nan,nan"], "--ref"),
@@ -328,6 +335,10 @@ def test_manifest_holds_every_resolved_setting(tmp_path):
     assert manifest["population"] == default_population(2)
     assert (manifest["pb_c"], manifest["pb_m"], manifest["ls_secs"]) == (0.7, 0.01, 0.05)
     assert manifest["gen_spec"]["n"] == 6 and manifest["instance_path"] is None
+    assert manifest["mqap_version"] == mqap.__version__
+    assert manifest["numpy_version"] == np.__version__
+    # Entries up to 100 at n=6: 4(n+1) * 100 * 100 is far below 2^24.
+    assert manifest["swap_kernel_dtype"] == "float32"
     stats = manifest["trial_records"][0]["islands"]
     assert [st["island_id"] for st in stats] == [0, 1]
 

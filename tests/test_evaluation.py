@@ -142,13 +142,20 @@ def test_delta_symmetric_instance(np_rng):
         assert evaluate_delta(inst, sol, i, j) == _delta_oracle(inst, sol, i, j)
 
 
+def _kernel_dtype(inst):
+    """The swap kernel's dtype by the bound 4(n+1) * max_d * max_f on what it forms."""
+    bound = 4 * (inst.n + 1) * int(inst.distances.max()) * max(int(f.max()) for f in inst.flows)
+    return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else np.int64
+
+
 def _assert_matrix_matches_oracle(inst, sol):
     deltas = swap_delta_matrix(inst, sol.perm)
-    assert deltas.shape == (inst.m, inst.n, inst.n) and deltas.dtype == np.int64
+    assert deltas.shape == (inst.m, inst.n, inst.n) and deltas.dtype == _kernel_dtype(inst)
     assert np.array_equal(deltas, deltas.transpose(0, 2, 1))
     assert not np.diagonal(deltas, axis1=1, axis2=2).any()
     for i, j in itertools.combinations(range(inst.n), 2):
-        assert tuple(int(x) for x in deltas[:, i, j]) == evaluate_delta(inst, sol, i, j)
+        # tolist() gives Python floats or ints, which compare with ints exactly.
+        assert deltas[:, i, j].tolist() == list(evaluate_delta(inst, sol, i, j))
 
 
 def test_delta_matrix_matches_per_pair(np_rng):
@@ -159,19 +166,40 @@ def test_delta_matrix_matches_per_pair(np_rng):
         _assert_matrix_matches_oracle(inst, make_solution(inst, np_rng.permutation(n)))
 
 
-def test_delta_matrix_exact_above_the_float64_bound(np_rng):
-    # Odd entries in [2^25, 2^26) put 2*n*max_d*max_f over 2^53 while the
-    # load guard (n^2*max_d*max_f < 2^62) still accepts the instance.  A
-    # float64 product would round here, so the kernel has to stay on int64.
+# With n = 6 the kernel bound is 28 * max_d * max_f; these tops put it just
+# below 2^24 and 2^53, and top + 1 just above.
+_TOP_24 = math.isqrt((2**24 - 1) // 28)
+_TOP_53 = math.isqrt((2**53 - 1) // 28)
+
+
+@pytest.mark.parametrize(
+    "low, top, dtype",
+    [
+        (_TOP_24 - 200, _TOP_24, np.float32),
+        (_TOP_24 - 200, _TOP_24 + 1, np.float64),
+        # S reaches ~2^27, where float32 holds only multiples of 8.
+        (2**11, 2**12, np.float64),
+        (_TOP_53 - 2**20, _TOP_53, np.float64),
+        (_TOP_53 - 2**20, _TOP_53 + 1, np.int64),
+        # S reaches ~2^55 while the load guard (n^2*max_d*max_f < 2^62) still
+        # accepts the instance: float64 would round here.
+        (2**25, 2**26 - 1, np.int64),
+    ],
+    ids=["float32-below-2^24", "float64-above-2^24", "float64-float32-would-round",
+         "float64-below-2^53", "int64-above-2^53", "int64-float64-would-round"],
+)
+def test_delta_matrix_exact_at_each_dtype_limit(np_rng, low, top, dtype):
+    assert 28 * _TOP_24**2 < 2**24 <= 28 * (_TOP_24 + 1) ** 2
+    assert 28 * _TOP_53**2 < 2**53 <= 28 * (_TOP_53 + 1) ** 2
     n = 6
 
-    def odd_matrix():
-        return np_rng.integers(2**24, 2**25, (n, n)) * 2 + 1
+    def matrix():
+        mat = np_rng.integers(low, top + 1, (n, n))
+        mat[0, 0] = top
+        return mat
 
-    inst = Instance(n=n, distances=odd_matrix(), flows=(odd_matrix(), odd_matrix()))
-    assert 2 * n * int(inst.distances.max()) * max(int(f.max()) for f in inst.flows) >= 2**53
-    assert inst.swap_operands.d_cat.dtype == np.int64
-    assert random_instance(np_rng, n, 2).swap_operands.d_cat.dtype == np.float64
+    inst = Instance(n=n, distances=matrix(), flows=(matrix(), matrix()))
+    assert inst.swap_operands.dtype == dtype == _kernel_dtype(inst)
     for _ in range(20):
         _assert_matrix_matches_oracle(inst, make_solution(inst, np_rng.permutation(n)))
 

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from mqap.instance import (
     InstanceFormatError,
     NegativeEntryError,
     TokenCountMismatchError,
+    _INT64_SAFE,
 )
 
 MINIMAL = "2\n0 1\n1 0\n0 3\n2 0"
@@ -49,6 +53,18 @@ def test_parse_negative_entry():
 def test_parse_non_integer_token():
     with pytest.raises(InstanceFormatError):
         parse_instance("2\n0 1\n1 x\n0 3\n2 0")
+
+
+def test_parse_accepts_what_int_accepts():
+    inst = parse_instance("2\n0 +1\n1_000 007\n0 \u0663\n2 0")
+    assert inst.distances.tolist() == [[0, 1], [1000, 7]]
+    assert inst.flows[0].tolist() == [[0, 3], [2, 0]]
+
+
+@pytest.mark.parametrize("token", ["1.5", "0x10", "99999999999999999999", "-99999999999999999999"])
+def test_parse_rejects_tokens_that_are_not_int64(token):
+    with pytest.raises(InstanceFormatError, match=re.escape(repr(token))):
+        parse_instance(f"2\n0 1\n1 0\n0 3\n2 {token}")
 
 
 def test_metadata_comment_emission():
@@ -145,3 +161,12 @@ def test_spec_validation():
         InstanceSpec(n=10, m=2, correlation=1.5, seed=0)
     with pytest.raises(ValueError):
         InstanceSpec(n=1, m=2, correlation=0.0, seed=0)
+
+
+def test_spec_rejects_max_value_at_the_load_guard():
+    # n^2 * max_value^2 must stay below the loader's 2^62 guard.
+    top = math.isqrt((_INT64_SAFE - 1) // 25)
+    assert generate_uniform(InstanceSpec(n=5, m=2, max_value=top)).distances.max() <= top
+    for max_value in (top + 1, 10**20):
+        with pytest.raises(ValueError, match="max_value"):
+            InstanceSpec(n=5, m=2, max_value=max_value)
