@@ -30,7 +30,13 @@ from .evaluation import Solution, make_solutions, random_solutions
 from .genetics import Rng, cycle_crossover, random_swap, swap_mutation, tournament_select
 from .instance import Instance
 from .localsearch import dominance_based_local_search
-from .ranking import Fitness, elitist_integration, non_dominated_mask, rank_and_crowd
+from .ranking import (
+    Fitness,
+    elitist_integration,
+    front_crowding,
+    non_dominated_mask,
+    rank_and_crowd,
+)
 
 MEMETIC = "memetic"
 NSGA2 = "nsga2"
@@ -117,6 +123,8 @@ class IslandStats:
     migrants_sent: int = 0
     migrants_received: int = 0
     send_events: int = 0
+    archive_candidates: int = 0  # solutions offered to the archive
+    archive_evictions: int = 0
     wall_time: float = 0.0
 
 
@@ -193,8 +201,12 @@ def archive_merge(archives: Sequence[Archive]) -> list[Solution]:
 
 
 def _select_migrants(archive: Archive, config: IslandConfig, rng: Rng) -> list[Solution]:
-    """Tournament over the archive members, ranked among themselves."""
-    fitness = rank_and_crowd(archive.members)
+    """Tournament over the archive members, ranked among themselves.
+
+    Members are mutually non-dominated, so all share rank 0 and the keys
+    are ``rank_and_crowd``'s without its ranking.
+    """
+    fitness = [(0, -c) for c in front_crowding(archive.objectives()).tolist()]
     return [
         tournament_select(archive.members, config.tournament_k, fitness, rng)
         for _ in range(config.migrants)
@@ -270,6 +282,8 @@ def run_island(
         stats.generations = generation
         generation += 1
 
+    stats.archive_candidates = archive.offered
+    stats.archive_evictions = archive.evicted
     stats.wall_time = time.monotonic() - start
     return IslandResult(archive=archive, stats=stats)
 

@@ -161,3 +161,54 @@ def test_merge_keeps_ties_and_shared_permutations_in_first_occurrence_order():
 def test_capacity_validation():
     with pytest.raises(ValueError):
         Archive(capacity=0)
+
+
+def _batches(rng, m, hi):
+    """Batches of solutions over 6-element permutations, each with one objective vector.
+
+    Every vector starts as a point of coordinate sum ``hi``.  Such points
+    never dominate one another, so fronts grow long enough to fill archives
+    of capacity 100.  Half of them move up by a random offset, which makes
+    them dominated or dominating.
+    """
+    objectives_of = {}
+
+    def draw():
+        perm = tuple(rng.sample(range(6), 6))
+        if perm not in objectives_of:
+            cuts = sorted(rng.randrange(hi + 1) for _ in range(m - 1))
+            point = [b - a for a, b in zip([0, *cuts], [*cuts, hi])]
+            if rng.random() < 0.5:
+                point = [v + rng.randrange(hi) for v in point]
+            objectives_of[perm] = tuple(point)
+        return _sol(objectives_of[perm], perm)
+
+    return [[draw() for _ in range(rng.randrange(60))] for _ in range(rng.randrange(1, 8))]
+
+
+def _state(archive):
+    return archive.members, archive._perm_keys, archive.evictions
+
+
+@pytest.mark.parametrize("batch_pairs", [None, 0])
+def test_batch_insert_matches_insert_one(monkeypatch, batch_pairs):
+    # With 0 pairs every batch takes the array path, even on an empty archive.
+    if batch_pairs is not None:
+        monkeypatch.setattr("mqap.archive._BATCH_PAIRS", batch_pairs)
+    rng = random.Random(17)
+    filled = 0
+    for case in range(300):
+        m, hi = case % 4 + 1, rng.choice([3, 8, 200])
+        capacity = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 100])
+        batched = Archive(capacity, track_evictions=True)
+        reference = Archive(capacity, track_evictions=True)
+        batches = _batches(rng, m, hi)
+        for batch in batches:
+            batched.insert(batch)
+            for sol in batch:
+                reference.insert_one(sol)
+            assert _state(batched) == _state(reference), (case, m, hi, capacity)
+        assert batched.offered == sum(map(len, batches))
+        assert batched.evicted == len(batched.evictions)
+        filled += capacity == 100 and len(reference) == 100
+    assert filled, "no archive of capacity 100 filled"

@@ -94,6 +94,9 @@ def test_migrant_counter_arithmetic(tmp_path):
         assert st["generations"] == 6
         assert st["send_events"] == 3
         assert st["migrants_sent"] == 2 * 2 * 3
+        # Forked islands report their archive work too: the initial 34,
+        # 34 offspring per generation and every migrant at least.
+        assert st["archive_candidates"] >= 34 * 7 + st["migrants_received"]
 
 
 def test_migrant_counters_eleven_islands(tmp_path):

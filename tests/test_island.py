@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -14,8 +15,10 @@ import pytest
 
 import mqap.island
 from mqap import (
+    Archive,
     IslandConfig,
     Rng,
+    Solution,
     check_migrants,
     dominates,
     run_fleet,
@@ -383,3 +386,57 @@ def test_refilled_population_is_ranked_before_its_tournaments(algorithm, monkeyp
     run_island(config, _instance(n=4, m=3), SEED)
     assert len(draws) > config.population, "no refill happened"
     assert checks and all(checks)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_archive_candidates_count_every_offered_solution(n, monkeypatch):
+    # A lone NSGA-II island offers its initial population, one population
+    # of offspring per generation and every refill; n=4 has 24 permutations,
+    # so a population of 30 is refilled every generation.
+    draws = []
+
+    def counting_random_solutions(instance, rng, count):
+        draws.append(count)
+        return random_solutions(instance, rng, count)
+
+    monkeypatch.setattr(mqap.island, "random_solutions", counting_random_solutions)
+    config = _config(algorithm="nsga2", population=30, generations=8)
+    result = run_island(config, _instance(n=n, m=3), SEED)
+    refills = sum(draws) - config.population
+    assert (refills > 0) == (n == 4)
+    assert result.stats.archive_candidates == config.population * (config.generations + 1) + refills
+
+
+@pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
+def test_archive_evictions_match_the_eviction_log(algorithm, monkeypatch):
+    monkeypatch.setattr(mqap.island, "Archive", functools.partial(Archive, track_evictions=True))
+    config = _config(algorithm=algorithm, archive_capacity=3, generations=8)
+    result = run_island(config, _instance(m=3), SEED)
+    assert result.stats.archive_evictions == len(result.archive.evictions) > 0
+
+
+def test_migrant_keys_are_rank_and_crowd_keys(monkeypatch):
+    archive = Archive(capacity=10)
+    archive.insert(
+        [
+            Solution(perm=np.array(perm), objectives=obj)
+            for perm, obj in [
+                ([0, 1, 2, 3], (2, 6)),
+                ([1, 0, 2, 3], (4, 4)),
+                ([2, 1, 0, 3], (2, 6)),  # equal objectives, another permutation
+                ([3, 1, 2, 0], (6, 2)),
+                ([0, 3, 2, 1], (4, 4)),
+                ([0, 2, 1, 3], (5, 3)),
+            ]
+        ]
+    )
+    assert len(archive) == 6
+    keys = []
+
+    def recording_tournament(pool, k, fitness, rng):
+        keys.append(list(fitness))
+        return tournament_select(pool, k, fitness, rng)
+
+    monkeypatch.setattr(mqap.island, "tournament_select", recording_tournament)
+    mqap.island._select_migrants(archive, _config(migrants=2), Rng(0))
+    assert keys == [rank_and_crowd(archive.members)] * 2
