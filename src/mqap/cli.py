@@ -197,10 +197,7 @@ def cmd_enumerate(args) -> int:
         write_front_file(args.out, front, header)
         print(f"exact front of {len(front)} solution(s) written to {args.out}")
     else:
-        for key, value in header.items():
-            print(f"! {key}={value}")
-        for line in runner.front_lines(front):
-            print(line)
+        print(runner.front_text(front, header), end="")
     return 0
 
 

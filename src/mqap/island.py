@@ -326,7 +326,7 @@ def _run_forked(
     try:
         for island_id, seed in enumerate(seeds[1:], start=1):
             here, there = ctx.Pipe()
-            args = (config, instance, seed, island_id, inboxes, there)
+            args = (config, instance, seed, island_id, inboxes, there, here)
             child = ctx.Process(target=_island_child, args=args, daemon=True)
             child.start()
             there.close()  # so a child that dies unheard gives EOFError, not a hang
@@ -352,8 +352,8 @@ def _run_forked(
     finally:
         for _, child, conn in children:
             child.join()
-            # Another trial thread's Process.start may have reaped the child and
-            # not yet stored its exit code; close() would then raise.
+            # With fleets on several threads, another thread's Process.start may have
+            # reaped the child and not yet stored its exit code; close() would then raise.
             if child.exitcode is not None:
                 child.close()
             conn.close()
@@ -363,12 +363,15 @@ def _run_forked(
     return results
 
 
-def _island_child(config, instance, seed, island_id, inboxes, conn) -> None:
+def _island_child(config, instance, seed, island_id, inboxes, conn, callers_end) -> None:
     """A forked island: send back its archive arrays and stats, or its traceback.
 
     The child then waits for the caller's word to exit, so that its queue
     feeder threads can finish writing while the caller drains the inboxes.
+    If the caller dies, the wait ends with EOF: the child closes its copy of
+    the caller's end, and a sibling forked later drops its copy on exit.
     """
+    callers_end.close()
     for inbox in inboxes:
         inbox.cancel_join_thread()  # an orphan must not wait on pipes nobody reads
     try:
@@ -376,11 +379,11 @@ def _island_child(config, instance, seed, island_id, inboxes, conn) -> None:
         message = (*result.archive.to_arrays(), result.stats)
     except Exception:
         message = traceback.format_exc()
-    conn.send(message)
     try:
+        conn.send(message)
         conn.recv()
-    except EOFError:
-        pass
+    except (EOFError, OSError):
+        pass  # the caller is gone
 
 
 def _receive(config: IslandConfig, island_id: int, child, conn) -> IslandResult:

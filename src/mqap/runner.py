@@ -7,10 +7,10 @@ bounds and reports mean normalized hypervolume and rank-sum p-values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -117,21 +117,22 @@ class RunResult:
     trials: list[TrialRecord] = field(default_factory=list)
 
 
-def front_lines(solutions: list[Solution]) -> list[str]:
+def front_text(solutions: list[Solution], header: dict[str, str]) -> str:
+    """A front file: ``! key=value`` header lines, then one ``perm | objectives`` row per solution."""
     rows = sorted(
         (tuple(sol.objectives), tuple(int(v) for v in sol.perm)) for sol in solutions
     )
-    return [
+    lines = [f"! {key}={value}" for key, value in header.items()]
+    lines.extend(
         " ".join(str(v) for v in perm) + " | " + " ".join(str(v) for v in obj)
         for obj, perm in rows
-    ]
+    )
+    return "\n".join(lines) + "\n"
 
 
 def write_front_file(path, solutions: list[Solution], header: dict[str, str]) -> None:
-    lines = [f"! {key}={value}" for key, value in header.items()]
-    lines.extend(front_lines(solutions))
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(path).write_text(front_text(solutions, header), encoding="utf-8")
     except OSError as exc:
         raise OutputWriteError(f"cannot write {path}: {exc}") from exc
 
@@ -165,7 +166,35 @@ def read_front_file(path) -> tuple[dict[str, str], list[tuple[tuple[int, ...], t
     return header, rows
 
 
+def _run_trial(instance, config, out_dir, instance_name, index) -> TrialRecord:
+    seed = trial_seed(config.base_seed, index)
+    fleet = run_fleet(instance, config, [island_seed(seed, i) for i in range(config.island_count)])
+    name = f"trial_{index:04d}.front"
+    write_front_file(
+        out_dir / name,
+        fleet.front,
+        {
+            "instance": instance_name,
+            "algorithm": config.algorithm,
+            "islands": str(config.island_count),
+            "seed": str(seed),
+        },
+    )
+    return TrialRecord(
+        trial=index,
+        seed=seed,
+        front_file=name,
+        front_size=len(fleet.front),
+        wall_time=fleet.wall_time,
+        islands=[r.stats for r in fleet.islands],
+    )
+
+
 def run_experiment(config: ExperimentConfig) -> RunResult:
+    """Run the trials, at most ``parallel_trials`` at once in forked worker processes.
+
+    Each trial writes its front file, the run its manifest; trials come back in index order.
+    """
     instance = config.resolve_instance()
     out_dir = Path(config.output_dir)
     try:
@@ -174,37 +203,18 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         raise OutputWriteError(f"cannot create {out_dir}: {exc}") from exc
 
     result = RunResult(instance_name=instance.name or "unnamed")
+    trial = functools.partial(_run_trial, instance, config, out_dir, result.instance_name)
+    workers = min(config.parallel_trials, config.trials)
+    if workers > 1:
+        # Only parallel trials pay for these imports.  This pool forks all its workers before it
+        # starts its thread, and they are not daemonic, so each may fork its fleet's islands.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def one_trial(index: int) -> TrialRecord:
-        seed = trial_seed(config.base_seed, index)
-        fleet = run_fleet(instance, config, [island_seed(seed, i) for i in range(config.island_count)])
-        name = f"trial_{index:04d}.front"
-        write_front_file(
-            out_dir / name,
-            fleet.front,
-            {
-                "instance": result.instance_name,
-                "algorithm": config.algorithm,
-                "islands": str(config.island_count),
-                "seed": str(seed),
-            },
-        )
-        return TrialRecord(
-            trial=index,
-            seed=seed,
-            front_file=name,
-            front_size=len(fleet.front),
-            wall_time=fleet.wall_time,
-            islands=[r.stats for r in fleet.islands],
-        )
-
-    indices = range(config.trials)
-    if config.parallel_trials > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_trials) as pool:
-            records = list(pool.map(one_trial, indices))
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            result.trials = list(pool.map(trial, range(config.trials)))
     else:
-        records = [one_trial(i) for i in indices]
-    result.trials = sorted(records, key=lambda r: r.trial)
+        result.trials = [trial(i) for i in range(config.trials)]
 
     manifest = {
         "instance": result.instance_name,

@@ -4,10 +4,12 @@ import json
 import multiprocessing
 import os
 import queue
+import signal
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -197,14 +199,14 @@ def _failing_island(failing_id, how):
     return run_island
 
 
-@pytest.mark.parametrize(
-    "failing_id, how, expected",
-    [
-        (0, "raise", "island 0 failed: RuntimeError('injected island failure')"),
-        (1, "raise", "RuntimeError: injected island failure"),
-        (1, "exit", "island 1 exited with code 3 before sending its result"),
-    ],
-)
+ISLAND_FAILURES = [
+    (0, "raise", "island 0 failed: RuntimeError('injected island failure')"),
+    (1, "raise", "RuntimeError: injected island failure"),
+    (1, "exit", "island 1 exited with code 3 before sending its result"),
+]
+
+
+@pytest.mark.parametrize("failing_id, how, expected", ISLAND_FAILURES)
 def test_fleet_failure_names_the_island_and_leaves_no_process(
     monkeypatch, failing_id, how, expected
 ):
@@ -255,8 +257,8 @@ def test_unread_inbox_of_a_finished_island_does_not_block_shutdown(short_island,
         time.sleep(0.01)
 
 
-def test_parallel_trials_fork_fleets_from_pool_threads(tmp_path):
-    config = ExperimentConfig(
+def _trial_config(tmp_path, **overrides):
+    base = dict(
         gen_spec=InstanceSpec(n=8, m=2, correlation=0.0, seed=2),
         algorithm="nsga2",
         island_count=2,
@@ -267,7 +269,51 @@ def test_parallel_trials_fork_fleets_from_pool_threads(tmp_path):
         output_dir=str(tmp_path),
         parallel_trials=2,
     )
-    result = run_experiment(config)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def _gone(pid):
+    """True once ``pid`` has exited: no such process, or a zombie nobody reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _wait_gone(pids, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not all(_gone(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            for pid in pids:
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+            pytest.fail(f"processes {pids} outlived the run")
+        time.sleep(0.02)
+
+
+def _within(seconds, call):
+    """``call()``'s result or exception; a call still running after ``seconds`` fails the test."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # handed to the test thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def test_parallel_trials_fork_fleets_from_pool_processes(tmp_path):
+    result = run_experiment(_trial_config(tmp_path))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert [rec["trial"] for rec in manifest["trial_records"]] == [0, 1, 2]
     for record in result.trials:
@@ -276,6 +322,99 @@ def test_parallel_trials_fork_fleets_from_pool_threads(tmp_path):
         rows = (tmp_path / record.front_file).read_text().splitlines()
         assert len([r for r in rows if not r.startswith("!")]) == record.front_size > 0
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("trials, parallel_trials", [(4, 2), (3, 5)])
+def test_parallel_trials_write_the_sequential_fronts(tmp_path, trials, parallel_trials):
+    fronts = {}
+    for parallel in (1, parallel_trials):
+        out = tmp_path / str(parallel)
+        config = _trial_config(
+            out,
+            algorithm="memetic",
+            island_count=1,
+            trials=trials,
+            generations=3,
+            ls_secs=1e6,
+            parallel_trials=parallel,
+        )
+        result = run_experiment(config)
+        assert [rec.trial for rec in result.trials] == list(range(trials))
+        fronts[parallel] = {p.name: p.read_bytes() for p in out.glob("*.front")}
+    assert len(fronts[1]) == trials
+    assert fronts[parallel_trials] == fronts[1]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failing_id, how, expected", ISLAND_FAILURES)
+def test_island_failure_in_a_pooled_trial_names_the_island(
+    tmp_path, monkeypatch, failing_id, how, expected
+):
+    # Forked trial workers and their islands inherit the patched module global.
+    monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how))
+    with pytest.raises(IslandError) as excinfo:
+        _within(60, lambda: run_experiment(_trial_config(tmp_path, trials=2)))
+    assert f"island {failing_id}" in str(excinfo.value)
+    assert expected in str(excinfo.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_dying_trial_process_ends_the_run_with_an_error(tmp_path, monkeypatch):
+    # Island 0 runs in the trial worker itself: the worker dies while its
+    # island 1 child runs, and that child holds the pool's view of the worker.
+    original = mqap.island.run_island
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+
+    def dying_trial(config, instance, seed, island_id=0, *args):
+        if island_id == 0:
+            os._exit(3)
+        (pid_dir / str(os.getpid())).touch()
+        return original(config, instance, seed, island_id, *args)
+
+    monkeypatch.setattr(mqap.island, "run_island", dying_trial)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            _within(30, lambda: run_experiment(_trial_config(tmp_path / "out", trials=2)))
+    finally:  # a hung pool waits on these children
+        _wait_gone([int(p.name) for p in pid_dir.iterdir()])
+    assert multiprocessing.active_children() == []
+
+
+_CALLER_DIES = """
+import os, sys, time
+import mqap.island
+from mqap.instance import InstanceSpec, generate_uniform
+
+original = mqap.island.run_island
+
+def run_island(config, instance, seed, island_id=0, *args):
+    result = original(config, instance, seed, island_id, *args)
+    if island_id == 0:
+        time.sleep(1.0)  # island 1 has sent its result and waits for word to exit
+        os._exit(3)
+    with open(sys.argv[1], "w") as handle:
+        handle.write(str(os.getpid()))
+    return result
+
+mqap.island.run_island = run_island
+instance = generate_uniform(InstanceSpec(n=8, m=2, seed=1))
+mqap.island.run_fleet(instance, mqap.island.IslandConfig(algorithm="nsga2", generations=5), [1, 2])
+"""
+
+
+def test_island_child_exits_when_its_caller_dies(tmp_path):
+    src = Path(mqap.island.__file__).resolve().parents[1]
+    pid_file = tmp_path / "island1.pid"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    caller = subprocess.run(
+        [sys.executable, "-c", _CALLER_DIES, str(pid_file)],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        timeout=60,
+    )
+    assert caller.returncode == 3
+    _wait_gone([int(pid_file.read_text())], seconds=5.0)
 
 
 def test_fleet_ends_cleanly_when_another_thread_reaped_a_child(monkeypatch):
@@ -301,11 +440,28 @@ def test_fleet_ends_cleanly_when_another_thread_reaped_a_child(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_importing_mqap_does_not_import_multiprocessing():
+_ONE_TRIAL_RUN = """
+import sys
+from mqap.instance import InstanceSpec
+from mqap.runner import ExperimentConfig, run_experiment
+
+config = ExperimentConfig(
+    gen_spec=InstanceSpec(n=8, m=2), trials=1, generations=3, output_dir=sys.argv[1]
+)
+run_experiment(config)
+loaded = {"multiprocessing", "concurrent.futures.process"} & set(sys.modules)
+sys.exit(f"imported {sorted(loaded)}" if loaded else 0)
+"""
+
+
+def test_importing_mqap_does_not_import_multiprocessing(tmp_path):
     src = Path(mqap.island.__file__).resolve().parents[1]
-    probe = "import sys, mqap; sys.exit('multiprocessing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, mqap; sys.exit('multiprocessing' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    # Nor does a one-trial, one-island run.
+    command = [sys.executable, "-c", _ONE_TRIAL_RUN, str(tmp_path)]
+    assert subprocess.run(command, env=env).returncode == 0
 
 
 def test_single_island_determinism_in_memory():
