@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import runner
 from .instance import InstanceFormatError, InstanceSpec, generate_uniform, save_instance
-from .island import MEMETIC, NSGA2
+from .island import MEMETIC, NSGA2, IslandError
 from .metrics import hypervolume, normalize_fronts, reference_point
 from .runner import (
     ExperimentConfig,
@@ -221,11 +221,10 @@ def cmd_gen(args) -> int:
 
 def cmd_hv(args) -> int:
     try:
-        _, rows = runner.read_front_file(args.front)
+        _, _, points = runner.read_front_file(args.front)
     except ValueError as exc:
         raise ConfigError(f"cannot read {args.front}: {exc}") from exc
-    points = [tuple(float(v) for v in obj) for _, obj in rows]
-    if not points:
+    if not len(points):
         raise ConfigError(f"{args.front} holds no points")
     if not math.isfinite(args.offset):
         raise ConfigError(f"--offset must be finite, got {args.offset}")
@@ -239,10 +238,8 @@ def cmd_hv(args) -> int:
             raise ConfigError(f"invalid --ref {args.ref!r}: {exc}") from exc
         if not all(map(math.isfinite, ref)):
             raise ConfigError(f"--ref must be finite, got {args.ref!r}")
-        if len(ref) != len(points[0]):
-            raise ConfigError(
-                f"--ref has {len(ref)} coordinates, the front has {len(points[0])}"
-            )
+        if len(ref) != points.shape[1]:
+            raise ConfigError(f"--ref has {len(ref)} coordinates, the front has {points.shape[1]}")
     else:
         (points,), _ = normalize_fronts([points])
         ref = reference_point(points, args.offset)
@@ -270,6 +267,8 @@ def main(argv: list[str] | None = None) -> int:
         runner.InstanceLoadError,
         runner.InstanceMismatchError,
         runner.TooLargeError,
+        runner.TrialWorkerError,
+        IslandError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -363,8 +363,18 @@ def _run_forked(
     return results
 
 
+class _ChildFailure(Exception):
+    """A forked island's exception as text: ``args`` are its own lines and its traceback.
+
+    The caller raises its ``IslandError`` from this, so the child's traceback shows as the cause.
+    """
+
+    def __str__(self) -> str:
+        return self.args[1]
+
+
 def _island_child(config, instance, seed, island_id, inboxes, conn, callers_end) -> None:
-    """A forked island: send back its archive arrays and stats, or its traceback.
+    """A forked island: send back its archive arrays and stats, or its failure.
 
     The child then waits for the caller's word to exit, so that its queue
     feeder threads can finish writing while the caller drains the inboxes.
@@ -377,8 +387,9 @@ def _island_child(config, instance, seed, island_id, inboxes, conn, callers_end)
     try:
         result = run_island(config, instance, seed, island_id, inboxes)
         message = (*result.archive.to_arrays(), result.stats)
-    except Exception:
-        message = traceback.format_exc()
+    except Exception as exc:
+        summary = "".join(traceback.format_exception_only(exc)).strip()
+        message = _ChildFailure(summary, traceback.format_exc())
     try:
         conn.send(message)
         conn.recv()
@@ -394,8 +405,8 @@ def _receive(config: IslandConfig, island_id: int, child, conn) -> IslandResult:
         raise IslandError(
             f"island {island_id} exited with code {child.exitcode} before sending its result"
         ) from None
-    if isinstance(message, str):
-        raise IslandError(f"island {island_id} failed:\n{message}")
+    if isinstance(message, _ChildFailure):
+        raise IslandError(f"island {island_id} failed: {message.args[0]}") from message
     perms, objectives, stats = message
     return IslandResult(Archive.from_arrays(config.archive_capacity, perms, objectives), stats)
 

@@ -1,10 +1,11 @@
 """Quality assessment: normalized hypervolume and the rank-sum test.
 
-Fronts are plain sequences of equally sized objective tuples.  Hypervolume
-is exact: a sort and running minimum for 2 objectives, the 3-D dimension
-sweep of Beume, Fonseca, Lopez-Ibanez, Paquete & Vahrenhold (IEEE TEC
-13(5), 2009) for 3, and slicing along the last objective down to that
-sweep for 4 or more (Fonseca, Paquete & Lopez-Ibanez, CEC 2006).
+A front is one (k, m) float64 array, a row per point; the functions also
+take anything ``np.asarray`` turns into one, such as a list of tuples.
+Hypervolume is exact: a sort and running minimum for 2 objectives, the
+3-D dimension sweep of Beume, Fonseca, Lopez-Ibanez, Paquete & Vahrenhold
+(IEEE TEC 13(5), 2009) for 3, and slicing along the last objective down
+to that sweep for 4 or more (Fonseca, Paquete & Lopez-Ibanez, CEC 2006).
 """
 
 from __future__ import annotations
@@ -29,46 +30,44 @@ class DegenerateSampleError(ValueError):
     pass
 
 
-def normalize_fronts(
-    fronts: Sequence[Sequence[Point]],
-) -> tuple[list[list[Point]], tuple[Point, Point]]:
+def normalize_fronts(fronts) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Map every coordinate to [0, 1] using min/max over the union of fronts.
 
-    Returns the rescaled fronts plus the (mins, maxs) bounds used, so the
-    same mapping can be reused.  A dimension that is constant across the
-    union maps to 0 everywhere.
+    Returns the rescaled (k, m) arrays plus the (mins, maxs) bounds used, so
+    the same mapping can be reused.  A dimension that is constant across the
+    union maps to 0 everywhere; an empty front stays empty.
     """
-    union = [p for front in fronts for p in front]
-    if not union:
+    arrays = [np.asarray(front, dtype=np.float64) for front in fronts]
+    filled = [a for a in arrays if a.size]
+    if not filled:
         raise EmptyUnionError("no points to normalize")
-    m = len(union[0])
-    mins = tuple(min(p[r] for p in union) for r in range(m))
-    maxs = tuple(max(p[r] for p in union) for r in range(m))
-
-    def scale(p: Point) -> Point:
-        return tuple(
-            0.0 if maxs[r] == mins[r] else (p[r] - mins[r]) / (maxs[r] - mins[r])
-            for r in range(m)
-        )
-
-    return [[scale(p) for p in front] for front in fronts], (mins, maxs)
+    union = np.concatenate(filled)
+    lo, hi = union.min(axis=0), union.max(axis=0)
+    # A constant column has f - lo == 0 everywhere, and 0 / 1 is 0.
+    span = np.where(hi > lo, hi - lo, 1.0)
+    m = union.shape[1]
+    return [(a.reshape(-1, m) - lo) / span for a in arrays], (lo, hi)
 
 
-def reference_point(global_front: Sequence[Point], offset: float = 0.01) -> Point:
+def reference_point(global_front, offset: float = 0.01) -> Point:
     """Componentwise maximum of the global front plus a small offset."""
-    if not global_front:
+    points = np.asarray(global_front, dtype=np.float64)
+    if not points.size:
         raise EmptyUnionError("cannot place a reference point on an empty front")
-    m = len(global_front[0])
-    return tuple(max(p[r] for p in global_front) + offset for r in range(m))
+    return tuple((points.max(axis=0) + offset).tolist())
 
 
-def non_dominated(points: Sequence[Point]) -> list[Point]:
-    """Minimization non-dominated filter keeping first occurrences, in input order."""
-    distinct = list(dict.fromkeys(map(tuple, points)))
-    return list(itertools.compress(distinct, non_dominated_mask(np.asarray(distinct, dtype=float))))
+def non_dominated(points) -> np.ndarray:
+    """Rows no other row dominates (minimization), each distinct row once, in input order."""
+    points = np.asarray(points, dtype=np.float64)
+    if not points.size:
+        return points.reshape(0, 0)
+    _, first = np.unique(points, axis=0, return_index=True)
+    distinct = points[np.sort(first)]
+    return distinct[non_dominated_mask(distinct)]
 
 
-def hypervolume(front: Sequence[Point], ref: Point) -> float:
+def hypervolume(front, ref: Point) -> float:
     """Exact volume dominated by the front and bounded by ``ref``.
 
     Points with any coordinate at or beyond the reference are discarded
@@ -77,17 +76,21 @@ def hypervolume(front: Sequence[Point], ref: Point) -> float:
     m = len(ref)
     if m < 1:
         raise ValueError("the reference point needs at least one coordinate")
-    for p in front:
-        if len(p) != m:
-            raise ValueError(f"point dimension {len(p)} does not match reference {m}")
-    inside = [tuple(p) for p in front if all(x < r for x, r in zip(p, ref))]
-    if not inside:
+    points = np.asarray(front, dtype=np.float64)
+    if not points.size:
+        return 0.0
+    if points.ndim != 2 or points.shape[1] != m:
+        raise ValueError(f"points of shape {points.shape} do not match a {m}-coordinate reference")
+    ref = tuple(map(float, ref))
+    inside = points[(points < ref).all(axis=1)]
+    if not len(inside):
         return 0.0
     if m == 1:
-        return float(ref[0] - min(p[0] for p in inside))
+        return ref[0] - float(inside.min())
     if m == 2:
-        return _hv2(np.asarray(inside, dtype=float), ref)
-    return _hv_sliced(inside, tuple(ref))
+        return _hv2(inside, ref)
+    # The sweeps run on Python floats: the same float64 values, cheaper one at a time.
+    return _hv_sliced(inside.tolist(), ref)
 
 
 def _hv2(points: np.ndarray, ref: Point) -> float:

@@ -20,7 +20,7 @@ from . import __version__, metrics
 from .evaluation import Solution, evaluate_batch
 from .instance import Instance, InstanceFormatError, InstanceSpec, generate_uniform, load_instance
 from .island import IslandConfig, IslandStats, run_fleet
-from .ranking import weakly_dominates
+from .ranking import non_dominated_mask, weakly_dominates
 
 MANIFEST_NAME = "manifest.json"
 REFERENCE_OFFSET = 0.01
@@ -41,6 +41,10 @@ class TooLargeError(ValueError):
 
 class InstanceMismatchError(ValueError):
     pass
+
+
+class TrialWorkerError(RuntimeError):
+    """A forked trial worker of ``parallel_trials`` died without a result."""
 
 
 def load_instance_checked(path) -> Instance:
@@ -137,33 +141,54 @@ def write_front_file(path, solutions: list[Solution], header: dict[str, str]) ->
         raise OutputWriteError(f"cannot write {path}: {exc}") from exc
 
 
-def read_front_file(path) -> tuple[dict[str, str], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Returns (header metadata, [(perm, objectives), ...]).
+def read_front_file(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
+    """Returns (header metadata, (k, n) int64 permutations, (k, m) int64 objectives).
 
-    Every row must hold as many objectives as the first row.
+    Every row must hold as many permutation entries and as many objectives
+    as the first row.  A file without rows gives two (0, 0) arrays.
     """
     header: dict[str, str] = {}
-    rows = []
+    numbers, rows = [], []
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
-        if not stripped:
-            continue
-        if not stripped[0].isdigit():
-            if stripped.startswith("!") and "=" in stripped:
-                key, _, value = stripped[1:].strip().partition("=")
-                header[key.strip()] = value.strip()
-            continue
-        perm_part, _, obj_part = stripped.partition("|")
-        perm = tuple(int(v) for v in perm_part.split())
-        objectives = tuple(int(v) for v in obj_part.split())
-        if not objectives:
+        if stripped[:1].isdigit():
+            numbers.append(number)
+            rows.append(stripped.partition("|"))
+        elif stripped.startswith("!") and "=" in stripped:
+            key, _, value = stripped[1:].strip().partition("=")
+            header[key.strip()] = value.strip()
+    perms = [row[0].split() for row in rows]
+    objectives = [row[2].split() for row in rows]
+    for number, perm, objs in zip(numbers, perms, objectives):
+        if not objs:
             raise ValueError(f"line {number} holds no objectives")
-        if rows and len(objectives) != len(rows[0][1]):
+        if len(objs) != len(objectives[0]):
             raise ValueError(
-                f"line {number} holds {len(objectives)} objectives, the first row {len(rows[0][1])}"
+                f"line {number} holds {len(objs)} objectives, the first row {len(objectives[0])}"
             )
-        rows.append((perm, objectives))
-    return header, rows
+        if len(perm) != len(perms[0]):
+            raise ValueError(
+                f"line {number} holds a permutation of {len(perm)}, the first row {len(perms[0])}"
+            )
+    return header, _int64_rows(perms, numbers), _int64_rows(objectives, numbers)
+
+
+def _int64_rows(rows: list[list[str]], numbers: list[int]) -> np.ndarray:
+    """One int64 array of equally long token rows; an unparsable token names its line."""
+    if not rows:
+        return np.empty((0, 0), dtype=np.int64)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except (ValueError, OverflowError):
+        # Parse row by row to find the line that fails.
+        for number, row in zip(numbers, rows):
+            try:
+                np.array(row, dtype=np.int64)
+            except OverflowError as exc:
+                raise ValueError(f"line {number} holds a value beyond the int64 range") from exc
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
+        raise
 
 
 def _run_trial(instance, config, out_dir, instance_name, index) -> TrialRecord:
@@ -210,9 +235,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         # starts its thread, and they are not daemonic, so each may fork its fleet's islands.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            result.trials = list(pool.map(trial, range(config.trials)))
+        context = multiprocessing.get_context("fork")
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                result.trials = list(pool.map(trial, range(config.trials)))
+        except BrokenProcessPool as exc:
+            raise TrialWorkerError("a trial worker process died before it returned its trial") from exc
     else:
         result.trials = [trial(i) for i in range(config.trials)]
 
@@ -288,7 +318,7 @@ class ResultSet:
     instance: str
     algorithm: str
     islands: int
-    fronts: list[list[tuple[float, ...]]]
+    fronts: list[np.ndarray]  # one (k, m) float64 array per trial
     seeds: list[int]
 
 
@@ -313,8 +343,8 @@ def load_result_set(directory) -> ResultSet:
         fronts = []
         seeds = []
         for rec in manifest["trial_records"]:
-            _, rows = read_front_file(path / rec["front_file"])
-            fronts.append([tuple(float(v) for v in obj) for _, obj in rows])
+            _, _, objectives = read_front_file(path / rec["front_file"])
+            fronts.append(objectives.astype(np.float64))
             seeds.append(rec["seed"])
         return ResultSet(
             label=f"{manifest['algorithm']}/{manifest['islands']}",
@@ -346,9 +376,9 @@ def compare_result_sets(
                 f"instance {instance_name!r} appears in only one result set; "
                 "nothing to compare it against"
             )
-        if not any(front for rs in group for front in rs.fronts):
+        if not any(len(front) for rs in group for front in rs.fronts):
             raise InstanceMismatchError(f"instance {instance_name!r} has no points in any front")
-        widths = {rs.directory: {len(p) for front in rs.fronts for p in front} for rs in group}
+        widths = {rs.directory: {f.shape[1] for f in rs.fronts if len(f)} for rs in group}
         if len(set().union(*widths.values())) > 1:
             listed = ", ".join(f"{d}: {sorted(w)}" for d, w in widths.items())
             raise InstanceMismatchError(
@@ -358,10 +388,10 @@ def compare_result_sets(
     rows = []
     for instance_name in sorted(by_instance):
         group = by_instance[instance_name]
-        flat_fronts = [front for rs in group for front in rs.fronts]
-        normalized, _ = metrics.normalize_fronts(flat_fronts)
-        global_front = metrics.non_dominated([p for front in normalized for p in front])
-        ref = metrics.reference_point(global_front, REFERENCE_OFFSET)
+        normalized, _ = metrics.normalize_fronts([front for rs in group for front in rs.fronts])
+        pooled = np.concatenate(normalized)
+        # Repeated points are kept: they cannot change the reference point's maxima.
+        ref = metrics.reference_point(pooled[non_dominated_mask(pooled)], REFERENCE_OFFSET)
 
         per_trial: list[list[float]] = []
         cursor = 0

@@ -7,6 +7,7 @@ import pytest
 
 from mqap import Instance, Solution, dominates
 from mqap.evaluation import DimensionMismatchError
+from mqap.metrics import EmptyUnionError, _hv2, _hv_sliced
 from mqap.ranking import front_crowding, pareto_ranks
 
 
@@ -119,6 +120,55 @@ def _hv_recursive(points, ref) -> float:
         slab = [q[1:] for q in front[: idx + 1]]
         volume += width * _hv_recursive(slab, ref[1:])
     return volume
+
+
+def tuple_normalize_fronts(fronts):
+    """Normalisation oracle, point by point on tuples: min/max over the union of fronts."""
+    union = [p for front in fronts for p in front]
+    if not union:
+        raise EmptyUnionError("no points to normalize")
+    m = len(union[0])
+    mins = tuple(min(p[r] for p in union) for r in range(m))
+    maxs = tuple(max(p[r] for p in union) for r in range(m))
+
+    def scale(p):
+        return tuple(
+            0.0 if maxs[r] == mins[r] else (p[r] - mins[r]) / (maxs[r] - mins[r])
+            for r in range(m)
+        )
+
+    return [[scale(p) for p in front] for front in fronts], (mins, maxs)
+
+
+def tuple_hypervolume(front, ref) -> float:
+    """Hypervolume on tuples: a per-point filter against the reference, then mqap's sweeps."""
+    inside = [tuple(p) for p in front if all(x < r for x, r in zip(p, ref))]
+    if not inside:
+        return 0.0
+    if len(ref) == 2:
+        return _hv2(np.asarray(inside, dtype=float), ref)
+    return _hv_sliced(inside, tuple(ref))
+
+
+def tuple_compare_hypervolumes(fronts_per_set, offset: float = 0.01) -> list[list[float]]:
+    """Per-trial normalised hypervolumes of ``compare`` on one instance, by the tuple path.
+
+    ``fronts_per_set`` holds, per result set, one list of integer objective
+    tuples per trial.  All fronts share the normalisation, and the reference
+    point is the maximum of their pooled non-dominated set plus ``offset``.
+    """
+    flat = [
+        [tuple(float(v) for v in p) for p in front] for fronts in fronts_per_set for front in fronts
+    ]
+    normalized, _ = tuple_normalize_fronts(flat)
+    pooled = pairwise_non_dominated([p for front in normalized for p in front])
+    ref = tuple(max(p[r] for p in pooled) + offset for r in range(len(pooled[0])))
+    per_trial, cursor = [], 0
+    for fronts in fronts_per_set:
+        trials = normalized[cursor : cursor + len(fronts)]
+        per_trial.append([tuple_hypervolume(f, ref) for f in trials])
+        cursor += len(fronts)
+    return per_trial
 
 
 def crowding_oracle(front_objs: list[tuple[int, ...]]) -> list[float]:

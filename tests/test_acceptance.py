@@ -139,7 +139,7 @@ def test_criterion_5_small_instance_optimality():
             result = run_island(config, inst, island_seed(trial_seed(100 + inst_seed, trial), 0))
             mine = [tuple(float(v) for v in s.objectives) for s in result.archive.members]
             (norm_exact, norm_mine), _ = normalize_fronts([exact, mine])
-            ref = reference_point(non_dominated(norm_exact + norm_mine))
+            ref = reference_point(non_dominated(np.concatenate([norm_exact, norm_mine])))
             ratio = hypervolume(norm_mine, ref) / hypervolume(norm_exact, ref)
             if ratio >= 0.95:
                 passes += 1
@@ -327,7 +327,7 @@ def test_criterion_8_directional_comparison_reported():
 
     all_fronts = [front for pair in pairs for front in pair]
     normalized, _ = normalize_fronts(all_fronts)
-    ref = reference_point(non_dominated([p for front in normalized for p in front]))
+    ref = reference_point(non_dominated(np.concatenate(normalized)))
     hv_memetic = [hypervolume(normalized[2 * k], ref) for k in range(10)]
     hv_baseline = [hypervolume(normalized[2 * k + 1], ref) for k in range(10)]
     mean_memetic = sum(hv_memetic) / 10

@@ -51,10 +51,10 @@ def test_run_single_trial_outputs(tmp_path, capsys):
     assert len(manifest["trial_records"]) == 1
     front_file = out / manifest["trial_records"][0]["front_file"]
     assert front_file.exists()
-    header, rows = read_front_file(front_file)
+    header, _, objectives = read_front_file(front_file)
     assert header["instance"] == manifest["instance"]
-    assert rows
-    objs = [obj for _, obj in rows]
+    assert len(objectives)
+    objs = list(map(tuple, objectives.tolist()))
     assert set(objs) <= brute_force_non_dominated(objs)
 
 
@@ -220,12 +220,24 @@ def _write_bad_inputs(directory):
     (directory / "ragged.front").write_text(
         "! instance=demo\n0 1 | 3 4\n1 0 | 5 6 7\n", encoding="utf-8"
     )
+    # Tokens beyond int64, and a row whose permutation is longer than the first row's.
+    for name, row in (
+        ("huge", "1 0 | 5 99999999999999999999"),
+        ("huge-perm", "99999999999999999999 0 | 5 6"),
+        ("ragged-perm", "1 0 2 | 5 6"),
+    ):
+        text = f"! instance=demo\n0 1 | 3 4\n{row}\n"
+        (directory / f"{name}.front").write_text(text, encoding="utf-8")
     (directory / "huge.qap").write_text("2\n0 1\n1 0\n0 3\n2 99999999999999999999\n", encoding="utf-8")
     for name, manifest in (("not-json", "{trial_records"), ("no-records", '{"instance": "x"}')):
         (directory / name).mkdir()
         (directory / name / "manifest.json").write_text(manifest, encoding="utf-8")
     # One-trial result directories: a valid one, and one whose front holds no points.
-    for name, instance, front in (("one-trial", "demo", "0 1 | 25 75\n"), ("no-points", "blank", "")):
+    for name, instance, front in (
+        ("one-trial", "demo", "0 1 | 25 75\n"),
+        ("no-points", "blank", ""),
+        ("huge-trial", "demo", "0 1 | 25 75\n1 0 | 5 99999999999999999999\n"),
+    ):
         (directory / name).mkdir()
         (directory / name / "trial_0000.front").write_text(
             f"! instance={instance}\n{front}", encoding="utf-8"
@@ -283,6 +295,9 @@ BAD_INPUTS = [
     ("hv-empty-front", ["hv", "--front", "empty.front"], None),
     ("hv-malformed-front", ["hv", "--front", "malformed.front"], None),
     ("hv-ragged-front", ["hv", "--front", "ragged.front"], "line 3"),
+    ("hv-ragged-permutation", ["hv", "--front", "ragged-perm.front"], "line 3"),
+    ("hv-objective-beyond-int64", ["hv", "--front", "huge.front"], "line 3"),
+    ("hv-permutation-beyond-int64", ["hv", "--front", "huge-perm.front"], "line 3"),
     ("compare-manifest-not-json", ["compare", "not-json", "not-json"], None),
     ("compare-manifest-without-records", ["compare", "no-records", "no-records"], None),
     ("compare-alpha-2", ["compare", "one-trial", "one-trial", "--alpha", 2], "--alpha"),
@@ -291,6 +306,7 @@ BAD_INPUTS = [
     ("compare-alpha-negative", ["compare", "one-trial", "one-trial", "--alpha", -1], "--alpha"),
     ("compare-alpha-nan", ["compare", "one-trial", "one-trial", "--alpha", "nan"], "--alpha"),
     ("compare-no-points", ["compare", "no-points", "no-points"], "blank"),
+    ("compare-objective-beyond-int64", ["compare", "huge-trial", "one-trial"], "line 3"),
 ]
 
 

@@ -26,13 +26,14 @@ from mqap import (
     run_fleet,
     run_island,
 )
+from mqap.cli import main
 from mqap.evaluation import random_solution, random_solutions
 from mqap.genetics import tournament_select
 from mqap.instance import InstanceSpec, generate_uniform
 from mqap.island import IslandError, send_migrants
 from mqap.metrics import hypervolume, non_dominated, normalize_fronts, reference_point
 from mqap.ranking import rank_and_crowd
-from mqap.runner import ExperimentConfig, run_experiment
+from mqap.runner import ExperimentConfig, TrialWorkerError, run_experiment
 
 from conftest import brute_force_non_dominated
 
@@ -359,25 +360,66 @@ def test_island_failure_in_a_pooled_trial_names_the_island(
     assert multiprocessing.active_children() == []
 
 
-def test_dying_trial_process_ends_the_run_with_an_error(tmp_path, monkeypatch):
-    # Island 0 runs in the trial worker itself: the worker dies while its
-    # island 1 child runs, and that child holds the pool's view of the worker.
+def _dying_trial(pid_dir):
+    """Island 0 runs in the trial worker itself: the worker dies while its
+    island 1 child runs, and that child holds the pool's view of the worker.
+    Each island 1 child leaves its pid in ``pid_dir``."""
     original = mqap.island.run_island
-    pid_dir = tmp_path / "pids"
-    pid_dir.mkdir()
 
-    def dying_trial(config, instance, seed, island_id=0, *args):
+    def run_island(config, instance, seed, island_id=0, *args):
         if island_id == 0:
             os._exit(3)
         (pid_dir / str(os.getpid())).touch()
         return original(config, instance, seed, island_id, *args)
 
-    monkeypatch.setattr(mqap.island, "run_island", dying_trial)
+    return run_island
+
+
+def test_dying_trial_process_ends_the_run_with_an_error(tmp_path, monkeypatch):
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    monkeypatch.setattr(mqap.island, "run_island", _dying_trial(pid_dir))
     try:
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(TrialWorkerError) as excinfo:
             _within(30, lambda: run_experiment(_trial_config(tmp_path / "out", trials=2)))
     finally:  # a hung pool waits on these children
         _wait_gone([int(p.name) for p in pid_dir.iterdir()])
+    assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+    assert multiprocessing.active_children() == []
+
+
+def _run_argv(out, parallel_trials):
+    """``mqap run`` with the settings of ``_trial_config``."""
+    return [
+        "run", "--gen-spec", "n=8,m=2,seed=2", "--algorithm", "nsga2", "--islands", "2",
+        "--trials", "2", "--generations", "6", "--epoch", "2", "--time-budget-secs", "0",
+        "--parallel-trials", str(parallel_trials), "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize("parallel_trials", [1, 2])
+@pytest.mark.parametrize("failing_id, how, expected", ISLAND_FAILURES)
+def test_run_command_reports_a_failed_island(
+    tmp_path, monkeypatch, capsys, failing_id, how, expected, parallel_trials
+):
+    monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how))
+    assert _within(60, lambda: main(_run_argv(tmp_path, parallel_trials))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: island {failing_id} ") and expected in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_run_command_reports_a_dead_trial_worker(tmp_path, monkeypatch, capsys):
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    monkeypatch.setattr(mqap.island, "run_island", _dying_trial(pid_dir))
+    try:
+        assert _within(30, lambda: main(_run_argv(tmp_path / "out", 2))) == 2
+    finally:
+        _wait_gone([int(p.name) for p in pid_dir.iterdir()])
+    err = capsys.readouterr().err
+    assert err == "error: a trial worker process died before it returned its trial\n"
     assert multiprocessing.active_children() == []
 
 
@@ -491,7 +533,7 @@ def test_time_budget_halts_early():
 def _fleet_hv(front, bounds_fronts):
     normalized, _ = normalize_fronts(bounds_fronts)
     split = [normalized[i] for i in range(len(bounds_fronts))]
-    global_front = non_dominated([p for fr in normalized for p in fr])
+    global_front = non_dominated(np.concatenate(normalized))
     ref = reference_point(global_front)
     return [hypervolume(fr, ref) for fr in split]
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -8,19 +9,29 @@ from scipy import stats as scipy_stats
 
 from mqap import hypervolume, normalize_fronts, reference_point, wilcoxon_rank_sum
 from mqap.metrics import DegenerateSampleError, EmptyUnionError, non_dominated
+from mqap.runner import compare_result_sets, load_result_set
 
-from conftest import pairwise_non_dominated, recursive_hypervolume
+from conftest import (
+    pairwise_non_dominated,
+    recursive_hypervolume,
+    tuple_compare_hypervolumes,
+    tuple_normalize_fronts,
+)
+
+
+def _rows(points: np.ndarray) -> list[tuple[float, ...]]:
+    return [tuple(p) for p in points.tolist()]
 
 
 def test_normalize_single_front():
     (front,), (mins, maxs) = normalize_fronts([[(2, 4), (4, 2)]])
-    assert front == [(0.0, 1.0), (1.0, 0.0)]
-    assert mins == (2, 2) and maxs == (4, 4)
+    assert front.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert mins.tolist() == [2, 2] and maxs.tolist() == [4, 4]
 
 
 def test_normalize_shared_bounds():
     fronts, _ = normalize_fronts([[(0, 10)], [(10, 0)]])
-    assert fronts == [[(0.0, 1.0)], [(1.0, 0.0)]]
+    assert [f.tolist() for f in fronts] == [[[0.0, 1.0]], [[1.0, 0.0]]]
 
 
 def test_normalize_degenerate_dimension():
@@ -133,7 +144,7 @@ def test_sweeps_and_array_filter_match_the_recursive_oracles():
         ref = tuple(rng.choice((1.0, 0.9)) for _ in range(m))
         expected = recursive_hypervolume(points, ref)
         assert math.isclose(hypervolume(points, ref), expected, rel_tol=1e-12), (case, points, ref)
-        assert non_dominated(points) == pairwise_non_dominated(points), (case, points)
+        assert _rows(non_dominated(points)) == pairwise_non_dominated(points), (case, points)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -158,14 +169,94 @@ def test_non_dominated_filter_large_front_in_blocks(monkeypatch):
     rng = random.Random(11)
     points = [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(300)]
     expected = pairwise_non_dominated(points)
-    assert non_dominated(points) == expected
+    assert _rows(non_dominated(points)) == expected
     monkeypatch.setattr("mqap.ranking._MASK_CELLS", 7 * 300)  # 43 column blocks
-    assert non_dominated(points) == expected
+    assert _rows(non_dominated(points)) == expected
 
 
 def test_non_dominated_filter():
     pts = [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (2.5, 2.5), (1.0, 3.0)]
-    assert non_dominated(pts) == [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]
+    assert _rows(non_dominated(pts)) == [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]
+
+
+def _write_result_dir(directory, algorithm, fronts):
+    """A result directory on instance ``demo``: one front file per trial, rows as given."""
+    directory.mkdir(parents=True)
+    records = []
+    for t, front in enumerate(fronts):
+        name = f"trial_{t:04d}.front"
+        rows = [f"{k} | " + " ".join(map(str, p)) for k, p in enumerate(front)]
+        text = "\n".join(["! instance=demo", *rows]) + "\n"
+        (directory / name).write_text(text, encoding="utf-8")
+        records.append({"trial": t, "seed": t, "front_file": name})
+    manifest = {"instance": "demo", "algorithm": algorithm, "islands": 1, "trial_records": records}
+    (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _random_integer_fronts(rng, m):
+    """Two or three result sets of integer fronts, some with repeated rows,
+    empty trials or a column constant across every front."""
+    high = rng.choice((3, 8, 1000, 10**9))
+    constant = rng.randrange(m) if rng.random() < 0.3 else None
+    per_set = []
+    for _ in range(rng.randint(2, 3)):
+        fronts = []
+        for _ in range(rng.randint(1, 4)):
+            front = [[rng.randint(0, high) for _ in range(m)] for _ in range(rng.randint(0, 12))]
+            if front and rng.random() < 0.4:
+                front += [rng.choice(front) for _ in range(rng.randint(1, 3))]
+            if constant is not None:
+                for p in front:
+                    p[constant] = 7
+            fronts.append([tuple(p) for p in front])
+        per_set.append(fronts)
+    if not any(f for fronts in per_set for f in fronts):
+        per_set[0][0] = [tuple(rng.randint(0, high) for _ in range(m))]
+    return per_set
+
+
+def _compare_in_files(tmp_path, per_set):
+    directories = []
+    for k, fronts in enumerate(per_set):
+        _write_result_dir(tmp_path / f"set{k}", f"alg{k}", fronts)
+        directories.append(tmp_path / f"set{k}")
+    (row,) = compare_result_sets([load_result_set(d) for d in directories])
+    return row
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_compare_hypervolumes_equal_the_tuple_path(tmp_path, m):
+    rng = random.Random(1500 + m)
+    seen = {"constant": 0, "repeated": 0, "empty": 0}
+    for case in range(60):
+        per_set = _random_integer_fronts(rng, m)
+        row = _compare_in_files(tmp_path / str(case), per_set)
+        expected = tuple_compare_hypervolumes(per_set)
+        assert row.per_trial == expected, (case, per_set)
+        assert row.means == [sum(hv) / len(hv) for hv in expected], (case, per_set)
+        fronts = [f for fronts in per_set for f in fronts]
+        points = [p for f in fronts for p in f]
+        seen["constant"] += any(len({p[r] for p in points}) == 1 for r in range(m))
+        seen["repeated"] += any(len(set(f)) < len(f) for f in fronts)
+        for fronts_of_set, hvs in zip(per_set, row.per_trial):
+            for front, hv in zip(fronts_of_set, hvs):
+                if not front:
+                    seen["empty"] += 1
+                    assert hv == 0.0
+    assert min(seen.values()) > 0, seen
+
+
+def test_compare_discards_points_on_or_beyond_the_reference(tmp_path):
+    # Normalised, the non-dominated maxima are 0.5, so the reference is
+    # 0.5 + 0.01 == 51 / 100 in both coordinates: (51, 10) lies on it and
+    # (100, 100) beyond it, and neither adds volume.
+    per_set = [[[(0, 50), (50, 0), (51, 10)], [(100, 100)]], [[(50, 0), (0, 50)], [(51, 10)]]]
+    (first, _, _, _), _ = tuple_normalize_fronts([f for fronts in per_set for f in fronts])
+    assert first[2][0] == 0.5 + 0.01
+    row = _compare_in_files(tmp_path, per_set)
+    assert row.per_trial == tuple_compare_hypervolumes(per_set)
+    assert row.per_trial[0][0] == row.per_trial[1][0] > 0.0
+    assert row.per_trial[0][1] == row.per_trial[1][1] == 0.0
 
 
 def test_rank_sum_identical_samples():
