@@ -32,5 +32,5 @@ from .island import (
 )
 from .localsearch import dominance_based_local_search
 from .metrics import hypervolume, normalize_fronts, reference_point, wilcoxon_rank_sum
-from .ranking import dominates, elitist_integration, front_crowding, pareto_ranks
+from .ranking import elitist_integration, front_crowding, pareto_ranks
 from .runner import ExperimentConfig, enumerate_front, run_experiment

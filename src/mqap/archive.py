@@ -3,32 +3,29 @@
 Each island owns one archive for the whole run; ``island.archive_merge``
 joins a fleet's archives at the end.  Inserts keep mutual non-dominance
 and reject permutation duplicates; when the archive outgrows its capacity
-the least crowded members are evicted first.
+the least crowded member is evicted.
 
-``insert_one`` is the reference: one candidate at a time, scalar dominance
-tests.  ``insert`` takes a batch and leaves the archive exactly as
-``insert_one`` on each candidate in turn would, with the same members in
-the same order.  Batches of fewer than ``_BATCH_PAIRS`` member-candidate
-pairs go through ``insert_one``; larger ones are decided with numpy
-arrays while they fit in the free room, and through ``insert_one`` from
-the point the archive is full, because an eviction can readmit what the
-evicted member dominated.  A permutation's objectives must be a function
-of it, as they are wherever solutions are evaluated.
+``insert`` decides a batch exactly as inserting its candidates one at a
+time would.  A candidate is rejected when its permutation is present or
+a current member dominates it; otherwise the members it dominates leave,
+it joins at the end, and if the archive is then over capacity the member
+of least crowding is evicted.  So a candidate's fate depends only on the
+members present when it arrives.  One pair of dominance matrices over
+members plus candidates gives, for each candidate, the rows that dominate
+it and the rows it dominates; a walk in batch order keeps the set of rows
+that are members right now, evictions included, and tests each candidate
+against that set.  A permutation's objectives must be a function of it,
+as they are wherever solutions are evaluated.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 import numpy as np
 
 from .evaluation import Solution
-from .ranking import dominates, front_crowding, non_dominated_mask, weakly_dominates
-
-# Below this many member-candidate pairs insert_one beats numpy's fixed cost
-# of about 100 us per batch.
-_BATCH_PAIRS = 1000
+from .ranking import front_crowding, weakly_dominates
 
 
 class Archive:
@@ -72,95 +69,52 @@ class Archive:
         return archive
 
     def insert(self, candidates: Iterable[Solution]) -> None:
-        """Insert the candidates in order, as ``insert_one`` on each would."""
+        """Insert the candidates in batch order, as one-at-a-time inserts would."""
         candidates = list(candidates)
         self.offered += len(candidates)
-        done = 0
-        if len(self.members) * len(candidates) >= _BATCH_PAIRS:
-            done = self._insert_while_room(candidates)
-        for candidate in candidates[done:]:
-            self.insert_one(candidate)
-
-    def _insert_while_room(self, candidates: list[Solution]) -> int:
-        """Decide candidates with arrays until the archive is full; return how many were decided.
-
-        While nothing is evicted, dominance is transitive: ``insert_one``
-        rejects exactly the candidates that share a permutation with a
-        member or an earlier candidate, or that a member or another
-        candidate dominates, and a member leaves exactly when a candidate
-        dominates it.  Candidates are therefore filtered against the
-        members once, then admitted in chunks that fit in the free room,
-        each by one non-dominated mask over members and chunk.
-        """
-        if len(self.members) >= self.capacity:
-            return 0
-        seen = set(self._perm_keys)
-        fresh = []  # indices of the candidates whose permutation is new
+        if not candidates:
+            return
+        pool = self.members + candidates
+        objs = np.array([sol.objectives for sol in pool], dtype=np.int64)
+        size = len(self.members)
+        # above[i, r]: pool row r <= candidate i; below[i, r]: candidate i <= pool row r.
+        # The candidate block of ``below`` is a block of the first matrix.
+        weak = weakly_dominates(objs, objs[size:])
+        above = np.ascontiguousarray(weak.T)
+        below = np.hstack((weakly_dominates(objs[size:], objs[:size]), weak[size:]))
+        # Row i of each packed matrix is one integer whose bit r is pool row r:
+        # the rows that strictly dominate candidate i, and the rows it strictly dominates.
+        width = (len(pool) + 7) // 8
+        beaten_by = np.packbits(above & ~below, axis=1, bitorder="little").tobytes()
+        beats = np.packbits(below & ~above, axis=1, bitorder="little").tobytes()
+        current = (1 << size) - 1  # the pool rows that are members right now
         for i, candidate in enumerate(candidates):
+            row = slice(i * width, (i + 1) * width)
+            if int.from_bytes(beaten_by[row], "little") & current:
+                continue
             key = candidate.perm_key()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        if not fresh:
-            return len(candidates)
-        m = len(candidates[fresh[0]].objectives)
-        objs = self.objectives().reshape(-1, m)
-        fresh_objs = np.array([candidates[i].objectives for i in fresh], dtype=np.int64)
-        # Members never dominate one another, so none dominates a candidate
-        # equal to a member; any other candidate that a member weakly
-        # dominates, it strictly dominates.
-        member_vectors = {member.objectives for member in self.members}
-        alive = ~weakly_dominates(objs, fresh_objs).any(axis=0)
-        alive |= [candidates[i].objectives in member_vectors for i in fresh]
-        fresh = list(itertools.compress(fresh, alive))
-        fresh_objs = fresh_objs[alive]
+            if key in self._perm_keys:
+                continue
+            gone = int.from_bytes(beats[row], "little") & current
+            current ^= gone
+            while gone:
+                low = gone & -gone
+                self._perm_keys.discard(pool[low.bit_length() - 1].perm_key())
+                gone ^= low
+            current |= 1 << (size + i)
+            self._perm_keys.add(key)
+            if current.bit_count() > self.capacity:
+                rows = _rows(current, width)
+                evicted = int(rows[np.argmin(front_crowding(objs[rows]))])
+                current ^= 1 << evicted
+                self._perm_keys.discard(pool[evicted].perm_key())
+                self.evicted += 1
+                if self.evictions is not None:
+                    self.evictions.append(pool[evicted])
+        self.members = [pool[r] for r in _rows(current, width).tolist()]
 
-        start = 0
-        while start < len(fresh):
-            room = self.capacity - len(self.members)
-            if room == 0:  # from here on, insert_one may evict
-                return fresh[start - 1] + 1
-            stop = min(start + room, len(fresh))
-            pooled = np.concatenate((objs, fresh_objs[start:stop]))
-            keep = non_dominated_mask(pooled)
-            size = len(self.members)
-            for member in itertools.compress(self.members, ~keep[:size]):
-                self._perm_keys.discard(member.perm_key())
-            kept = [candidates[i] for i in itertools.compress(fresh[start:stop], keep[size:])]
-            self._perm_keys.update(sol.perm_key() for sol in kept)
-            self.members = list(itertools.compress(self.members, keep[:size])) + kept
-            objs = pooled[keep]
-            start = stop
-        return len(candidates)
 
-    def insert_one(self, candidate: Solution) -> bool:
-        """Insert one candidate; returns True if it joined the archive."""
-        key = candidate.perm_key()
-        if key in self._perm_keys:
-            return False
-        obj = candidate.objectives
-        for member in self.members:
-            if dominates(member.objectives, obj):
-                return False
-
-        survivors = []
-        for member in self.members:
-            if dominates(obj, member.objectives):
-                self._perm_keys.discard(member.perm_key())
-            else:
-                survivors.append(member)
-        survivors.append(candidate)
-        self._perm_keys.add(key)
-        self.members = survivors
-        while len(self.members) > self.capacity:
-            self._evict_most_crowded()
-        return True
-
-    def _evict_most_crowded(self) -> None:
-        # Members form a single front, so crowding is computed directly.
-        crowding = front_crowding(self.objectives())
-        evicted = self.members.pop(int(np.argmin(crowding)))
-        self._perm_keys.discard(evicted.perm_key())
-        self.evicted += 1
-        if self.evictions is not None:
-            self.evictions.append(evicted)
+def _rows(mask: int, width: int) -> np.ndarray:
+    """The positions of the set bits of ``mask``, ascending; ``width`` bytes hold them all."""
+    bits = np.frombuffer(mask.to_bytes(width, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(bits, bitorder="little"))

@@ -1,7 +1,7 @@
 """Pareto ranking machinery: dominance tests, dominance depth, crowding, and survival.
 
-Every comparison between arrays of objective vectors lives here:
-``weakly_dominates`` for ranking and enumeration's sweep,
+Every dominance test in the package lives here: ``weakly_dominates`` for
+ranking, the archive's inserts and enumeration's sweep,
 ``non_dominated_mask`` for the fleet merge and compare's pooled front.
 
 Fitness is the dominance depth (front index) of a solution; diversity is
@@ -17,27 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluation import ObjectiveVector, Solution
+from .evaluation import Solution
 
 Fitness = tuple[int, float]
 
 # Cells of one boolean mask in non_dominated_mask: 4 MB whatever the front size.
 _MASK_CELLS = 1 << 22
-
-
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """Minimization Pareto dominance: a <= b everywhere and a != b."""
-    if len(a) != len(b):
-        raise ValueError(f"objective dimensions differ: {len(a)} vs {len(b)}")
-    not_worse = True
-    strictly_better = False
-    for x, y in zip(a, b):
-        if x > y:
-            not_worse = False
-            break
-        if x < y:
-            strictly_better = True
-    return not_worse and strictly_better
 
 
 def weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, metrics
 from .evaluation import Solution, evaluate_batch
 from .instance import Instance, InstanceFormatError, InstanceSpec, generate_uniform, load_instance
-from .island import IslandConfig, IslandStats, run_fleet
+from .island import IslandConfig, IslandError, IslandStats, run_fleet
 from .ranking import non_dominated_mask, weakly_dominates
 
 MANIFEST_NAME = "manifest.json"
@@ -193,7 +193,11 @@ def _int64_rows(rows: list[list[str]], numbers: list[int]) -> np.ndarray:
 
 def _run_trial(instance, config, out_dir, instance_name, index) -> TrialRecord:
     seed = trial_seed(config.base_seed, index)
-    fleet = run_fleet(instance, config, [island_seed(seed, i) for i in range(config.island_count)])
+    seeds = [island_seed(seed, i) for i in range(config.island_count)]
+    try:
+        fleet = run_fleet(instance, config, seeds)
+    except IslandError as exc:
+        raise IslandError(f"trial {index} (seed {seed}): {exc}") from exc
     name = f"trial_{index:04d}.front"
     write_front_file(
         out_dir / name,
@@ -340,23 +344,26 @@ def load_result_set(directory) -> ResultSet:
         raise InstanceLoadError(f"{directory} has no {MANIFEST_NAME}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        fronts = []
-        seeds = []
-        for rec in manifest["trial_records"]:
-            _, _, objectives = read_front_file(path / rec["front_file"])
-            fronts.append(objectives.astype(np.float64))
-            seeds.append(rec["seed"])
-        return ResultSet(
+        records = manifest["trial_records"]
+        result = ResultSet(
             label=f"{manifest['algorithm']}/{manifest['islands']}",
             directory=str(path),
             instance=manifest["instance"],
             algorithm=manifest["algorithm"],
             islands=manifest["islands"],
-            fronts=fronts,
-            seeds=seeds,
+            fronts=[],
+            seeds=[rec["seed"] for rec in records],
         )
+        front_paths = [path / rec["front_file"] for rec in records]
     except (ValueError, KeyError, TypeError) as exc:
         raise InstanceLoadError(f"{manifest_path} is not a valid result manifest: {exc!r}") from exc
+    for front_path in front_paths:
+        try:
+            _, _, objectives = read_front_file(front_path)
+        except ValueError as exc:
+            raise InstanceLoadError(f"{front_path}: {exc}") from exc
+        result.fronts.append(objectives.astype(np.float64))
+    return result
 
 
 def compare_result_sets(

@@ -5,10 +5,64 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mqap import Instance, Solution, dominates
+from mqap import Archive, Instance, Solution
 from mqap.evaluation import DimensionMismatchError
 from mqap.metrics import EmptyUnionError, _hv2, _hv_sliced
 from mqap.ranking import front_crowding, pareto_ranks
+
+
+def dominates(a, b) -> bool:
+    """Minimization Pareto dominance of two objective vectors: a <= b everywhere and a != b."""
+    if len(a) != len(b):
+        raise ValueError(f"objective dimensions differ: {len(a)} vs {len(b)}")
+    not_worse = True
+    strictly_better = False
+    for x, y in zip(a, b):
+        if x > y:
+            not_worse = False
+            break
+        if x < y:
+            strictly_better = True
+    return not_worse and strictly_better
+
+
+def insert_one(archive: Archive, candidate: Solution) -> bool:
+    """Archive insert oracle: one candidate, scalar dominance tests; True if it joined.
+
+    A present permutation or a dominating member rejects the candidate;
+    otherwise the members it dominates leave, it joins at the end, and the
+    least crowded members are evicted while the archive is over capacity.
+    """
+    key = candidate.perm_key()
+    if key in archive._perm_keys:
+        return False
+    obj = candidate.objectives
+    for member in archive.members:
+        if dominates(member.objectives, obj):
+            return False
+
+    survivors = []
+    for member in archive.members:
+        if dominates(obj, member.objectives):
+            archive._perm_keys.discard(member.perm_key())
+        else:
+            survivors.append(member)
+    survivors.append(candidate)
+    archive._perm_keys.add(key)
+    archive.members = survivors
+    while len(archive.members) > archive.capacity:
+        _evict_most_crowded(archive)
+    return True
+
+
+def _evict_most_crowded(archive: Archive) -> None:
+    # Members form a single front, so crowding is computed directly.
+    crowding = front_crowding(archive.objectives())
+    evicted = archive.members.pop(int(np.argmin(crowding)))
+    archive._perm_keys.discard(evicted.perm_key())
+    archive.evicted += 1
+    if archive.evictions is not None:
+        archive.evictions.append(evicted)
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int, hi: int = 50) -> Instance:

@@ -22,7 +22,6 @@ from mqap import (
     IslandConfig,
     Solution,
     cycle_crossover,
-    dominates,
     evaluate_full,
     hypervolume,
     make_solution,
@@ -38,7 +37,7 @@ from mqap.island import run_fleet
 from mqap.metrics import non_dominated
 from mqap.runner import ExperimentConfig, enumerate_front, island_seed, run_experiment, trial_seed
 
-from conftest import random_instance, repeated_filter_ranks
+from conftest import dominates, random_instance, repeated_filter_ranks
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str) -> None:
@@ -185,7 +184,7 @@ def test_criterion_6_archive_invariants():
         objectives = (a, b)
         stream.append(objectives)
         perm = np.array(rng.sample(range(n), n), dtype=np.int64)
-        archive.insert_one(Solution(perm=perm, objectives=objectives))
+        archive.insert([Solution(perm=perm, objectives=objectives)])
         assert len(archive) <= 50
         if step % 250 == 0:
             for x in archive.members:

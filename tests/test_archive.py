@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from mqap import Archive, Solution, archive_merge, dominates
+from mqap import Archive, Solution, archive_merge
 
-from conftest import brute_force_non_dominated
+from conftest import brute_force_non_dominated, dominates, insert_one
 
 
 def _sol(objectives, perm):
@@ -61,7 +61,8 @@ def test_dominating_candidate_never_rejected_by_filter():
     archive.insert([_fresh(rng) for _ in range(30)])
     target = archive.members[0]
     better = _sol(tuple(v - 1 for v in target.objectives), rng.sample(range(6), 6))
-    assert archive.insert_one(better) is True
+    archive.insert([better])
+    assert any(member is better for member in archive.members)
 
 
 def test_capacity_truncation_keeps_bound():
@@ -85,7 +86,7 @@ def test_stream_stress_with_eviction_audit():
     archive = Archive(capacity=50, track_evictions=True)
     stream = [_fresh(rng, n=7, m=2, hi=60) for _ in range(200)]
     for sol in stream:
-        archive.insert_one(sol)
+        archive.insert([sol])
         assert len(archive) <= 50
     _assert_mutually_non_dominated(archive.members)
 
@@ -163,13 +164,13 @@ def test_capacity_validation():
         Archive(capacity=0)
 
 
-def _batches(rng, m, hi):
+def _batches(rng, m, hi, base):
     """Batches of solutions over 6-element permutations, each with one objective vector.
 
     Every vector starts as a point of coordinate sum ``hi``.  Such points
     never dominate one another, so fronts grow long enough to fill archives
     of capacity 100.  Half of them move up by a random offset, which makes
-    them dominated or dominating.
+    them dominated or dominating.  Every coordinate is offset by ``base``.
     """
     objectives_of = {}
 
@@ -180,35 +181,45 @@ def _batches(rng, m, hi):
             point = [b - a for a, b in zip([0, *cuts], [*cuts, hi])]
             if rng.random() < 0.5:
                 point = [v + rng.randrange(hi) for v in point]
-            objectives_of[perm] = tuple(point)
+            objectives_of[perm] = tuple(base + v for v in point)
         return _sol(objectives_of[perm], perm)
 
     return [[draw() for _ in range(rng.randrange(60))] for _ in range(rng.randrange(1, 8))]
 
 
 def _state(archive):
-    return archive.members, archive._perm_keys, archive.evictions
+    """Members and evictions by identity, in order, and the permutation key set."""
+    return (
+        [id(sol) for sol in archive.members],
+        archive._perm_keys,
+        [id(sol) for sol in archive.evictions],
+    )
 
 
-@pytest.mark.parametrize("batch_pairs", [None, 0])
-def test_batch_insert_matches_insert_one(monkeypatch, batch_pairs):
-    # With 0 pairs every batch takes the array path, even on an empty archive.
-    if batch_pairs is not None:
-        monkeypatch.setattr("mqap.archive._BATCH_PAIRS", batch_pairs)
+# Near 2^62 a float cast merges neighbouring values and a sum of objectives overflows.
+BASES = [0, 2**62 - 1000]
+
+
+@pytest.mark.parametrize("fixed_base", [None, 0])
+def test_batch_insert_matches_insert_one(fixed_base):
+    # With no fixed base the objective offset alternates over BASES, case by case.
+    bases = BASES if fixed_base is None else [fixed_base]
     rng = random.Random(17)
-    filled = 0
+    filled = set()
     for case in range(300):
         m, hi = case % 4 + 1, rng.choice([3, 8, 200])
+        base = bases[case // 4 % len(bases)]
         capacity = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 100])
         batched = Archive(capacity, track_evictions=True)
         reference = Archive(capacity, track_evictions=True)
-        batches = _batches(rng, m, hi)
+        batches = _batches(rng, m, hi, base)
         for batch in batches:
             batched.insert(batch)
             for sol in batch:
-                reference.insert_one(sol)
-            assert _state(batched) == _state(reference), (case, m, hi, capacity)
+                insert_one(reference, sol)
+            assert _state(batched) == _state(reference), (case, m, hi, base, capacity)
         assert batched.offered == sum(map(len, batches))
         assert batched.evicted == len(batched.evictions)
-        filled += capacity == 100 and len(reference) == 100
-    assert filled, "no archive of capacity 100 filled"
+        if capacity == 100 and len(reference) == 100:
+            filled.add(base)
+    assert filled == set(bases), "no archive of capacity 100 filled at some scale"

@@ -232,11 +232,13 @@ def _write_bad_inputs(directory):
     for name, manifest in (("not-json", "{trial_records"), ("no-records", '{"instance": "x"}')):
         (directory / name).mkdir()
         (directory / name / "manifest.json").write_text(manifest, encoding="utf-8")
-    # One-trial result directories: a valid one, and one whose front holds no points.
+    # One-trial result directories: a valid one, one whose front holds no points, and two
+    # whose fronts the reader rejects.
     for name, instance, front in (
         ("one-trial", "demo", "0 1 | 25 75\n"),
         ("no-points", "blank", ""),
         ("huge-trial", "demo", "0 1 | 25 75\n1 0 | 5 99999999999999999999\n"),
+        ("ragged-trial", "demo", "0 1 | 25 75\n1 0 | 5 6 7\n"),
     ):
         (directory / name).mkdir()
         (directory / name / "trial_0000.front").write_text(
@@ -307,6 +309,7 @@ BAD_INPUTS = [
     ("compare-alpha-nan", ["compare", "one-trial", "one-trial", "--alpha", "nan"], "--alpha"),
     ("compare-no-points", ["compare", "no-points", "no-points"], "blank"),
     ("compare-objective-beyond-int64", ["compare", "huge-trial", "one-trial"], "line 3"),
+    ("compare-ragged-front", ["compare", "one-trial", "ragged-trial"], "trial_0000.front: line 3"),
 ]
 
 

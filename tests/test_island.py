@@ -22,7 +22,6 @@ from mqap import (
     Rng,
     Solution,
     check_migrants,
-    dominates,
     run_fleet,
     run_island,
 )
@@ -33,9 +32,9 @@ from mqap.instance import InstanceSpec, generate_uniform
 from mqap.island import IslandError, send_migrants
 from mqap.metrics import hypervolume, non_dominated, normalize_fronts, reference_point
 from mqap.ranking import rank_and_crowd
-from mqap.runner import ExperimentConfig, TrialWorkerError, run_experiment
+from mqap.runner import ExperimentConfig, TrialWorkerError, island_seed, run_experiment
 
-from conftest import brute_force_non_dominated
+from conftest import brute_force_non_dominated, dominates
 
 
 SEED = 3  # of every test that runs one island
@@ -187,11 +186,13 @@ def test_fleet_without_seeds_is_rejected():
         run_fleet(_instance(n=6), _config(), [])
 
 
-def _failing_island(failing_id, how):
+def _failing_island(failing_id, how, trial_seed=None):
+    """Island ``failing_id`` fails in every trial, or only in the trial seeded ``trial_seed``."""
     original = mqap.island.run_island
 
     def run_island(config, instance, seed, island_id=0, *args):
-        if island_id == failing_id:
+        fails = trial_seed is None or seed == island_seed(trial_seed, island_id)
+        if island_id == failing_id and fails:
             if how == "exit":
                 os._exit(3)
             raise RuntimeError("injected island failure")
@@ -355,7 +356,7 @@ def test_island_failure_in_a_pooled_trial_names_the_island(
     monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how))
     with pytest.raises(IslandError) as excinfo:
         _within(60, lambda: run_experiment(_trial_config(tmp_path, trials=2)))
-    assert f"island {failing_id}" in str(excinfo.value)
+    assert str(excinfo.value).startswith(f"trial 0 (seed 1): island {failing_id} ")
     assert expected in str(excinfo.value)
     assert multiprocessing.active_children() == []
 
@@ -402,10 +403,12 @@ def _run_argv(out, parallel_trials):
 def test_run_command_reports_a_failed_island(
     tmp_path, monkeypatch, capsys, failing_id, how, expected, parallel_trials
 ):
-    monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how))
-    assert _within(60, lambda: main(_run_argv(tmp_path, parallel_trials))) == 2
+    # Of the trials seeded 7 and 8, only the second fails.
+    monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how, trial_seed=8))
+    argv = _run_argv(tmp_path, parallel_trials) + ["--seed", "7"]
+    assert _within(60, lambda: main(argv)) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: island {failing_id} ") and expected in err
+    assert err.startswith(f"error: trial 1 (seed 8): island {failing_id} ") and expected in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert multiprocessing.active_children() == []
 

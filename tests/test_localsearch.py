@@ -8,13 +8,12 @@ from mqap import (
     Archive,
     Rng,
     dominance_based_local_search,
-    dominates,
     evaluate_full,
     make_solution,
 )
 from mqap.localsearch import first_dominating_swap
 
-from conftest import evaluate_delta, ordered_swap_neighborhood, random_instance
+from conftest import dominates, evaluate_delta, ordered_swap_neighborhood, random_instance
 
 
 def _record_scans(monkeypatch):

@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from mqap import Solution, dominates, elitist_integration, front_crowding, pareto_ranks
+from mqap import Solution, elitist_integration, front_crowding, pareto_ranks
 from mqap.ranking import crowding_by_front, non_dominated_mask, rank_and_crowd, weakly_dominates
 
 from conftest import (
     crowding_oracle,
+    dominates,
     per_front_rank_and_crowd,
     repeated_filter_ranks,
 )
