@@ -4,14 +4,7 @@
 __version__ = "0.1.0"
 
 from .archive import Archive
-from .evaluation import (
-    ObjectiveVector,
-    Solution,
-    apply_swap,
-    evaluate_full,
-    make_solution,
-    swap_delta_matrix,
-)
+from .evaluation import Rows, evaluate, evaluate_batch, swap_delta_matrix
 from .genetics import Rng, cycle_crossover, swap_mutation, tournament_select
 from .instance import (
     Instance,

@@ -191,13 +191,13 @@ def cmd_compare(args) -> int:
 
 def cmd_enumerate(args) -> int:
     instance = runner.load_instance_checked(args.instance)
-    front = enumerate_front(instance)
+    perms, objs = enumerate_front(instance)
     header = {"instance": instance.name or "unnamed", "exact": "true"}
     if args.out:
-        write_front_file(args.out, front, header)
-        print(f"exact front of {len(front)} solution(s) written to {args.out}")
+        write_front_file(args.out, perms, objs, header)
+        print(f"exact front of {len(perms)} solution(s) written to {args.out}")
     else:
-        print(runner.front_text(front, header), end="")
+        print(runner.front_text(perms, objs, header), end="")
     return 0
 
 

@@ -1,5 +1,8 @@
 """Objective evaluation: full cost sums and whole-neighbourhood swap deltas.
 
+A solution is a row: a permutation in a (P, n) int64 array and its m costs
+in the same row of a (P, m) int64 array, the pair held as ``Rows``.
+
 Costs are exact 64-bit integers.  For a permutation ``perm`` mapping each
 location to the facility placed there, with d = distances and
 F = flows[r][perm][:, perm], the r-th cost is sum_ij d[i, j] * F[i, j].
@@ -24,31 +27,30 @@ an int64 product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .instance import Instance
-
-ObjectiveVector = tuple[int, ...]
 
 
 class DimensionMismatchError(ValueError):
     pass
 
 
-@dataclass(eq=False)
-class Solution:
-    """A permutation with its cached objective vector."""
+class Rows(NamedTuple):
+    """A batch of solutions as rows: (P, n) int64 permutations, (P, m) int64 objectives."""
 
-    perm: np.ndarray
-    objectives: ObjectiveVector
+    perms: np.ndarray
+    objs: np.ndarray
 
-    def perm_key(self) -> bytes:
-        return self.perm.tobytes()
+    def take(self, index) -> Rows:
+        return Rows(self.perms[index], self.objs[index])
 
-    def copy(self) -> "Solution":
-        return Solution(perm=self.perm.copy(), objectives=self.objectives)
+    @staticmethod
+    def concat(*parts: Rows) -> Rows:
+        perms, objs = zip(*parts)
+        return Rows(np.concatenate(perms), np.concatenate(objs))
 
 
 # Rows of d gathered per block of the batch product: about 18 at n = 30.
@@ -86,30 +88,10 @@ def evaluate_batch(instance: Instance, perms) -> np.ndarray:
     return out
 
 
-def evaluate_full(instance: Instance, perm: np.ndarray) -> ObjectiveVector:
-    """All m costs of one permutation: a one-row ``evaluate_batch``."""
-    return tuple(evaluate_batch(instance, [perm])[0].tolist())
-
-
-def make_solutions(instance: Instance, perms) -> list[Solution]:
-    """Solutions for a list of permutations, evaluated in one batch."""
-    perms = [np.asarray(p, dtype=np.int64) for p in perms]
-    objectives = evaluate_batch(instance, perms).tolist()
-    return [Solution(perm=p, objectives=tuple(o)) for p, o in zip(perms, objectives)]
-
-
-def make_solution(instance: Instance, perm) -> Solution:
-    return make_solutions(instance, [perm])[0]
-
-
-def random_solutions(instance: Instance, rng, count: int) -> list[Solution]:
-    """``count`` uniform random permutations, all drawn before one batch evaluation."""
-    n = instance.n
-    return make_solutions(instance, [rng.sample(range(n), n) for _ in range(count)])
-
-
-def random_solution(instance: Instance, rng) -> Solution:
-    return random_solutions(instance, rng, 1)[0]
+def evaluate(instance: Instance, perms) -> Rows:
+    """The rows of a (P, n) permutation array with their objectives."""
+    perms = np.asarray(perms, dtype=np.int64)
+    return Rows(perms, evaluate_batch(instance, perms))
 
 
 def swap_delta_matrix(instance: Instance, perm: np.ndarray) -> np.ndarray:
@@ -133,10 +115,3 @@ def swap_delta_matrix(instance: Instance, perm: np.ndarray) -> np.ndarray:
     w = s - sd[:, :, None] + ops.e * (fd[:, :, None] - f)
     return w + w.transpose(0, 2, 1)
 
-
-def apply_swap(sol: Solution, i: int, j: int, delta: ObjectiveVector) -> Solution:
-    """Build the neighbor solution for a swap whose delta is already known."""
-    perm = sol.perm.copy()
-    perm[i], perm[j] = perm[j], perm[i]
-    objectives = tuple(o + d for o, d in zip(sol.objectives, delta))
-    return Solution(perm=perm, objectives=objectives)

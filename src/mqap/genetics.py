@@ -11,9 +11,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluation import Solution
-
 Rng = random.Random
+
+
+def random_permutations(n: int, count: int, rng: Rng) -> np.ndarray:
+    """``count`` uniform random permutations of 0..n-1 as a (count, n) int64 array."""
+    perms = [rng.sample(range(n), n) for _ in range(count)]
+    return np.array(perms, dtype=np.int64).reshape(count, n)
 
 
 def cycle_crossover(p1: np.ndarray, p2: np.ndarray):
@@ -70,24 +74,20 @@ def swap_mutation(perm: np.ndarray, pb_m: float, rng: Rng) -> np.ndarray:
     return random_swap(perm, rng)
 
 
-def tournament_select(
-    pool: Sequence[Solution],
-    k: int,
-    fitness: Sequence,
-    rng: Rng,
-) -> Solution:
+def tournament_select(fitness: Sequence, k: int, rng: Rng) -> int:
     """Deterministic tournament: k entrants drawn with replacement, best wins.
 
-    ``fitness[i]`` is the key of ``pool[i]``, smaller is better; a challenger
+    ``fitness[i]`` is the key of pool row i, smaller is better; a challenger
     replaces the current winner only when its key is strictly smaller.
+    Returns the winner's row index.
     """
-    if not pool:
+    if not len(fitness):
         raise ValueError("tournament pool is empty")
     if k < 1:
         raise ValueError("tournament size must be >= 1")
-    best = rng.randrange(len(pool))
+    best = rng.randrange(len(fitness))
     for _ in range(k - 1):
-        challenger = rng.randrange(len(pool))
+        challenger = rng.randrange(len(fitness))
         if fitness[challenger] < fitness[best]:
             best = challenger
-    return pool[best]
+    return best

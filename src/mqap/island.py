@@ -6,15 +6,18 @@ inbox queue that all its neighbours put migrant batches on.  Sends are
 buffered copies and an island drains whatever its inbox holds without ever
 blocking, so a stalled island cannot hold up its neighbours.
 
+Every solution is a row: the population, the offspring, the local
+search's working set, each migrant batch and the fleet front are pairs of
+a (P, n) int64 permutation array and a (P, m) int64 objective array.
+
 A fleet runs in processes: island 0 in the calling process and every other
 island in a child forked from it (Linux ``fork``), with one
 ``multiprocessing`` queue as each island's inbox.  A child sends its
-archive back as arrays.  A lone island runs inline and forks nothing.
+archive back as it stands.  A lone island runs inline and forks nothing.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import queue
 import time
@@ -26,16 +29,14 @@ from typing import Protocol
 import numpy as np
 
 from .archive import Archive
-from .evaluation import Solution, make_solutions, random_solutions
-from .genetics import Rng, cycle_crossover, random_swap, swap_mutation, tournament_select
+from .evaluation import Rows, evaluate
+from .genetics import (
+    Rng, cycle_crossover, random_permutations, random_swap, swap_mutation, tournament_select
+)
 from .instance import Instance
 from .localsearch import dominance_based_local_search
 from .ranking import (
-    Fitness,
-    elitist_integration,
-    front_crowding,
-    non_dominated_mask,
-    rank_and_crowd,
+    Fitness, elitist_integration, front_crowding, non_dominated_mask, rank_and_crowd
 )
 
 MEMETIC = "memetic"
@@ -90,30 +91,33 @@ class IslandConfig:
 class Inbox(Protocol):
     """An island's migrant queue: a ``queue.SimpleQueue`` or a ``multiprocessing`` queue."""
 
-    def put(self, batch: list[Solution]) -> None: ...
+    def put(self, batch: tuple[np.ndarray, np.ndarray]) -> None: ...
 
-    def get_nowait(self) -> list[Solution]: ...  # raises queue.Empty
+    def get_nowait(self) -> tuple[np.ndarray, np.ndarray]: ...  # raises queue.Empty
 
 
 class IslandError(RuntimeError):
     """An island of a fleet failed; the message names the island."""
 
 
-def check_migrants(inbox: Inbox) -> list[Solution]:
-    """Drain every batch queued on ``inbox`` without blocking."""
-    migrants: list[Solution] = []
+def check_migrants(inbox: Inbox, n: int, m: int) -> Rows:
+    """Drain every batch queued on ``inbox`` without blocking, in queue order.
+
+    ``n`` and ``m`` are the widths of the rows when the inbox is empty.
+    """
+    batches = [Rows(np.empty((0, n), dtype=np.int64), np.empty((0, m), dtype=np.int64))]
     while True:
         try:
-            migrants.extend(inbox.get_nowait())
+            batches.append(Rows(*inbox.get_nowait()))
         except queue.Empty:
-            return migrants
+            return Rows.concat(*batches)
 
 
-def send_migrants(neighbours: Sequence[Inbox], solutions: list[Solution]) -> int:
-    """Put fresh copies of ``solutions`` on every neighbour's inbox; return the count sent."""
+def send_migrants(neighbours: Sequence[Inbox], migrants: Rows) -> int:
+    """Put fresh copies of the rows on every neighbour's inbox; return the count sent."""
     for inbox in neighbours:
-        inbox.put([s.copy() for s in solutions])
-    return len(solutions) * len(neighbours)
+        inbox.put((migrants.perms.copy(), migrants.objs.copy()))
+    return len(migrants.perms) * len(neighbours)
 
 
 @dataclass
@@ -136,11 +140,11 @@ class IslandResult:
 
 def _make_offspring(
     instance: Instance,
-    population: list[Solution],
+    perms: np.ndarray,
     fitness: list[Fitness],
     config: IslandConfig,
     rng: Rng,
-) -> list[Solution]:
+) -> Rows:
     """One generation of variation: tournament parents, crossover, mutation.
 
     Children that merely clone a parent are kicked one swap away, and
@@ -155,17 +159,17 @@ def _make_offspring(
     max_attempts = 3 * config.population
     while len(children) < config.population:
         attempts += 1
-        p1 = tournament_select(population, config.tournament_k, fitness, rng)
-        p2 = tournament_select(population, config.tournament_k, fitness, rng)
+        p1 = tournament_select(fitness, config.tournament_k, rng)
+        p2 = tournament_select(fitness, config.tournament_k, rng)
         for _ in range(5):
-            if p2 is not p1:
+            if p2 != p1:
                 break
-            p2 = tournament_select(population, config.tournament_k, fitness, rng)
+            p2 = tournament_select(fitness, config.tournament_k, rng)
         if rng.random() < config.pb_c:
-            c1, c2 = cycle_crossover(p1.perm, p2.perm)
+            c1, c2 = cycle_crossover(perms[p1], perms[p2])
         else:
-            c1, c2 = p1.perm.copy(), p2.perm.copy()
-        parent_keys = (p1.perm_key(), p2.perm_key())
+            c1, c2 = perms[p1].copy(), perms[p2].copy()
+        parent_keys = (perms[p1].tobytes(), perms[p2].tobytes())
         for child in (c1, c2):
             child = swap_mutation(child, config.pb_m, rng)
             key = child.tobytes()
@@ -176,41 +180,36 @@ def _make_offspring(
                 continue
             seen.add(key)
             children.append(child)
-    return make_solutions(instance, children[: config.population])
+    return evaluate(instance, children[: config.population])
 
 
-def _distinct_permutations(solutions: list[Solution]) -> list[Solution]:
-    seen: set[bytes] = set()
-    out = []
-    for sol in solutions:
-        key = sol.perm_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(sol)
-    return out
+def _first_occurrences(rows: Rows) -> Rows:
+    """The rows of each permutation's first occurrence, in row order."""
+    # One opaque key per row: np.unique(axis=0) would cost about ten times more.
+    perms = rows.perms
+    keys = perms.view(np.dtype((np.void, perms.itemsize * perms.shape[1]))).ravel()
+    return rows.take(np.sort(np.unique(keys, return_index=True)[1]))
 
 
-def archive_merge(archives: Sequence[Archive]) -> list[Solution]:
+def archive_merge(archives: Sequence[Archive]) -> Rows:
     """The non-dominated members of all archives, each permutation once, in first-occurrence order.
 
     Members with equal objective vectors but distinct permutations all stay.
+    At least one archive must hold members.
     """
-    pool = _distinct_permutations([sol for archive in archives for sol in archive.members])
-    objectives = np.array([sol.objectives for sol in pool], dtype=np.int64)
-    return list(itertools.compress(pool, non_dominated_mask(objectives)))
+    pool = _first_occurrences(Rows.concat(*[Rows(a.perms, a.objs) for a in archives if len(a)]))
+    return pool.take(non_dominated_mask(pool.objs))
 
 
-def _select_migrants(archive: Archive, config: IslandConfig, rng: Rng) -> list[Solution]:
+def _select_migrants(archive: Archive, config: IslandConfig, rng: Rng) -> Rows:
     """Tournament over the archive members, ranked among themselves.
 
     Members are mutually non-dominated, so all share rank 0 and the keys
     are ``rank_and_crowd``'s without its ranking.
     """
-    fitness = [(0, -c) for c in front_crowding(archive.objectives()).tolist()]
-    return [
-        tournament_select(archive.members, config.tournament_k, fitness, rng)
-        for _ in range(config.migrants)
-    ]
+    fitness = [(0, -c) for c in front_crowding(archive.objs).tolist()]
+    rows = [tournament_select(fitness, config.tournament_k, rng) for _ in range(config.migrants)]
+    return Rows(archive.perms[rows], archive.objs[rows])
 
 
 def run_island(
@@ -229,9 +228,9 @@ def run_island(
     solutions.  The population's fitness keys travel with it into the next
     tournament; a refill re-ranks the whole population.  The algorithms
     differ only in the improvement step: the memetic island runs the local
-    search over the archive plus the offspring and archives its working set
-    as the pool; the NSGA-II island pools population and offspring
-    unchanged ((mu+lambda) survival).
+    search over the archive plus the offspring the archive did not keep and
+    archives its working set as the pool; the NSGA-II island pools
+    population and offspring unchanged ((mu+lambda) survival).
 
     ``inboxes`` holds one queue per island of the fleet, indexed by island
     id; the island drains its own and sends to all others.  Without
@@ -244,41 +243,42 @@ def run_island(
     start = time.monotonic()
     archive = Archive(capacity=config.archive_capacity)
 
-    population = random_solutions(instance, rng, config.population)
-    archive.insert(population)
-    fitness = rank_and_crowd(population)
+    population = evaluate(instance, random_permutations(instance.n, config.population, rng))
+    archive.insert(*population)
+    fitness = rank_and_crowd(population.objs)
 
     generation = 1
     while generation <= config.generations:
         if config.time_budget is not None and time.monotonic() - start >= config.time_budget:
             break
-        offspring = _make_offspring(instance, population, fitness, config, rng)
-        archive.insert(offspring)
+        offspring = _make_offspring(instance, population.perms, fitness, config, rng)
+        kept = archive.insert(*offspring)
         if config.algorithm == MEMETIC:
             improved = dominance_based_local_search(
-                archive, config.ls_secs, instance, rng, extra=offspring
+                archive, config.ls_secs, instance, rng, extra=offspring.take(~kept)
             )
-            pool = _distinct_permutations(improved)
-            archive.insert(pool)
+            pool = _first_occurrences(improved)
+            archive.insert(*pool)
         else:
-            pool = _distinct_permutations(population + offspring)
+            pool = _first_occurrences(Rows.concat(population, offspring))
 
-        migrants = check_migrants(inbox)
-        stats.migrants_received += len(migrants)
-        archive.insert(migrants)
+        migrants = check_migrants(inbox, instance.n, instance.m)
+        stats.migrants_received += len(migrants.perms)
+        archive.insert(*migrants)
 
         if neighbours and generation % config.epoch == 0:
-            selected = _select_migrants(archive, config, rng)
-            stats.migrants_sent += send_migrants(neighbours, selected)
+            stats.migrants_sent += send_migrants(neighbours, _select_migrants(archive, config, rng))
             stats.send_events += 1
 
-        population, fitness = elitist_integration(pool, migrants, config.population)
-        refill = config.population - len(population)
+        union = Rows.concat(pool, migrants)
+        survivors, fitness = elitist_integration(union.objs, config.population)
+        population = union.take(survivors)
+        refill = config.population - len(survivors)
         if refill:
-            fresh = random_solutions(instance, rng, refill)
-            archive.insert(fresh)
-            population.extend(fresh)
-            fitness = rank_and_crowd(population)
+            fresh = evaluate(instance, random_permutations(instance.n, refill, rng))
+            archive.insert(*fresh)
+            population = Rows.concat(population, fresh)
+            fitness = rank_and_crowd(population.objs)
         stats.generations = generation
         generation += 1
 
@@ -290,7 +290,7 @@ def run_island(
 
 @dataclass
 class FleetResult:
-    front: list[Solution]
+    front: Rows
     islands: list[IslandResult]
     wall_time: float
 
@@ -335,7 +335,7 @@ def _run_forked(
             results = [run_island(config, instance, seeds[0], 0, inboxes)]
         except Exception as exc:
             raise IslandError(f"island 0 failed: {exc!r}") from exc
-        results += [_receive(config, island_id, child, conn) for island_id, child, conn in children]
+        results += [_receive(island_id, child, conn) for island_id, child, conn in children]
         # Every island is done and every child still alive: read away the
         # batches nobody drained, so that every queue feeder thread, here
         # and in the children, can flush and exit, then release the children.
@@ -374,7 +374,7 @@ class _ChildFailure(Exception):
 
 
 def _island_child(config, instance, seed, island_id, inboxes, conn, callers_end) -> None:
-    """A forked island: send back its archive arrays and stats, or its failure.
+    """A forked island: send back its result (archive as it stands, and stats), or its failure.
 
     The child then waits for the caller's word to exit, so that its queue
     feeder threads can finish writing while the caller drains the inboxes.
@@ -385,8 +385,7 @@ def _island_child(config, instance, seed, island_id, inboxes, conn, callers_end)
     for inbox in inboxes:
         inbox.cancel_join_thread()  # an orphan must not wait on pipes nobody reads
     try:
-        result = run_island(config, instance, seed, island_id, inboxes)
-        message = (*result.archive.to_arrays(), result.stats)
+        message = run_island(config, instance, seed, island_id, inboxes)
     except Exception as exc:
         summary = "".join(traceback.format_exception_only(exc)).strip()
         message = _ChildFailure(summary, traceback.format_exc())
@@ -397,7 +396,7 @@ def _island_child(config, instance, seed, island_id, inboxes, conn, callers_end)
         pass  # the caller is gone
 
 
-def _receive(config: IslandConfig, island_id: int, child, conn) -> IslandResult:
+def _receive(island_id: int, child, conn) -> IslandResult:
     try:
         message = conn.recv()
     except EOFError:
@@ -407,8 +406,7 @@ def _receive(config: IslandConfig, island_id: int, child, conn) -> IslandResult:
         ) from None
     if isinstance(message, _ChildFailure):
         raise IslandError(f"island {island_id} failed: {message.args[0]}") from message
-    perms, objectives, stats = message
-    return IslandResult(Archive.from_arrays(config.archive_capacity, perms, objectives), stats)
+    return message
 
 
 def _discard_unread(inbox) -> None:

@@ -3,20 +3,23 @@
 The neighborhood of a permutation is every location pair (i, j) with
 i < j, scanned in row-major order: (0,1), (0,2), ..., (n-2,n-1).
 
-Starting from the archive contents, unvisited solutions are drawn at
-random; the first neighbor that Pareto-dominates the current solution is
-accepted (its objectives come from the swap delta, never a re-evaluation)
-and joins the working population unvisited.  The search stops when its
-wall-clock budget runs out or no unvisited solutions remain.
+The working set starts as the archive's rows plus any extra rows; its
+unvisited rows are drawn at random.  The first neighbor that
+Pareto-dominates the drawn row is accepted and joins the working set
+unvisited; its objective row is the drawn row's plus the swap delta, in
+int64, never a re-evaluation.  The search stops when its wall-clock budget
+runs out or no unvisited rows remain.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .archive import Archive
-from .evaluation import Solution, apply_swap, swap_delta_matrix
+from .evaluation import Rows, swap_delta_matrix
 from .genetics import Rng
 from .instance import Instance
 
@@ -24,15 +27,15 @@ Clock = Callable[[], float]
 
 
 def first_dominating_swap(
-    instance: Instance, sol: Solution
-) -> tuple[int, int, tuple[int, ...]] | None:
-    """First pair in scan order whose swap strictly improves all-around.
+    instance: Instance, perm: np.ndarray
+) -> tuple[int, int, np.ndarray] | None:
+    """First pair in scan order whose swap strictly improves all-around, with its int64 deltas.
 
     A neighbor dominates iff its delta is <= 0 in every objective and < 0 in
     at least one, so the whole neighborhood is screened on the batched delta
-    matrix and only the winning pair's deltas become Python ints.
+    matrix.  The kernel holds exact integers, so the cast to int64 is exact.
     """
-    deltas = swap_delta_matrix(instance, sol.perm)
+    deltas = swap_delta_matrix(instance, perm)
     improving = (deltas <= 0).all(axis=0) & (deltas < 0).any(axis=0)
     # argmax gives the first True (i, j) in row-major order.  The deltas are
     # symmetric with a zero diagonal, so i < j: were j < i, the mirror (j, i)
@@ -41,7 +44,7 @@ def first_dominating_swap(
     if not improving.flat[first]:
         return None
     i, j = divmod(first, instance.n)
-    return i, j, tuple(int(x) for x in deltas[:, i, j])
+    return i, j, deltas[:, i, j].astype(np.int64)
 
 
 def dominance_based_local_search(
@@ -50,28 +53,30 @@ def dominance_based_local_search(
     instance: Instance,
     rng: Rng,
     clock: Clock = time.monotonic,
-    extra: Sequence[Solution] = (),
-) -> list[Solution]:
-    """Improve archive members in place of the island population.
+    extra: Rows | tuple = ((), ()),
+) -> Rows:
+    """Improve the archive's rows in place of the island population.
 
-    Returns the working population: the archive contents (plus any
-    ``extra`` seeds, typically the generation's offspring, which get
-    improved on the same terms) and every accepted dominating neighbor.
+    Returns the working set: the archive's rows, then the ``extra`` rows
+    (typically the generation's offspring that the archive did not keep,
+    improved on the same terms), then every accepted dominating neighbor.
     Elapsed time is checked at the loop head only, so one neighborhood scan
     may overshoot the ``t_max``-second budget.
     """
-    population = list(archive.members)
-    member_ids = set(map(id, population))
-    population.extend(s for s in extra if id(s) not in member_ids)
+    perms = [*archive.perms, *extra[0]]
+    objs = [*archive.objs, *extra[1]]
     start = clock()
-    # Unscanned members in population order: the drawn one leaves, an
+    # Unscanned rows in working-set order: the drawn one leaves, an
     # accepted neighbour joins at the end.
-    unvisited = list(population)
+    unvisited = list(range(len(perms)))
     while unvisited and clock() - start < t_max:
-        sol = unvisited.pop(rng.randrange(len(unvisited)))
-        found = first_dominating_swap(instance, sol)
+        row = unvisited.pop(rng.randrange(len(unvisited)))
+        found = first_dominating_swap(instance, perms[row])
         if found is not None:
-            neighbor = apply_swap(sol, *found)
-            population.append(neighbor)
-            unvisited.append(neighbor)
-    return population
+            i, j, delta = found
+            neighbor = perms[row].copy()
+            neighbor[i], neighbor[j] = neighbor[j], neighbor[i]
+            unvisited.append(len(perms))
+            perms.append(neighbor)
+            objs.append(objs[row] + delta)
+    return Rows(np.array(perms, dtype=np.int64), np.array(objs, dtype=np.int64))

@@ -17,8 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranking import non_dominated_mask
-
 Point = tuple[float, ...]
 
 
@@ -55,16 +53,6 @@ def reference_point(global_front, offset: float = 0.01) -> Point:
     if not points.size:
         raise EmptyUnionError("cannot place a reference point on an empty front")
     return tuple((points.max(axis=0) + offset).tolist())
-
-
-def non_dominated(points) -> np.ndarray:
-    """Rows no other row dominates (minimization), each distinct row once, in input order."""
-    points = np.asarray(points, dtype=np.float64)
-    if not points.size:
-        return points.reshape(0, 0)
-    _, first = np.unique(points, axis=0, return_index=True)
-    distinct = points[np.sort(first)]
-    return distinct[non_dominated_mask(distinct)]
 
 
 def hypervolume(front, ref: Point) -> float:

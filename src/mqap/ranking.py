@@ -4,20 +4,17 @@ Every dominance test in the package lives here: ``weakly_dominates`` for
 ranking, the archive's inserts and enumeration's sweep,
 ``non_dominated_mask`` for the fleet merge and compare's pooled front.
 
-Fitness is the dominance depth (front index) of a solution; diversity is
-the front-local crowding value.  Both are returned as arrays aligned with
-the ranked rows, never stored on the solutions.  ``rank_and_crowd`` packs
-them into one ``(rank, -crowding)`` key per member, so the natural tuple
-order prefers lower depth and, on ties, higher crowding.
+Everything here works on (N, m) objective arrays, one row per solution.
+Fitness is the dominance depth (front index) of a row; diversity is the
+front-local crowding value.  Both are returned aligned with the ranked
+rows.  ``rank_and_crowd`` packs them into one ``(rank, -crowding)`` key
+per row, so the natural tuple order prefers lower depth and, on ties,
+higher crowding.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-from .evaluation import Solution
 
 Fitness = tuple[int, float]
 
@@ -142,29 +139,23 @@ def crowding_by_front(objs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return crowding
 
 
-def rank_and_crowd(solutions: Sequence[Solution]) -> list[Fitness]:
-    """One ``(rank, -crowding)`` fitness key per solution; smaller is better."""
-    if not solutions:
+def rank_and_crowd(objs) -> list[Fitness]:
+    """One ``(rank, -crowding)`` fitness key per row of an (N, m) array; smaller is better."""
+    if not len(objs):
         return []
-    objs = np.array([sol.objectives for sol in solutions], dtype=np.int64)
     ranks = pareto_ranks(objs)
     return list(zip(ranks.tolist(), (-crowding_by_front(objs, ranks)).tolist()))
 
 
-def elitist_integration(
-    current: Sequence[Solution],
-    immigrants: Sequence[Solution],
-    capacity: int,
-) -> tuple[list[Solution], list[Fitness]]:
-    """The fitness-best ``capacity`` members of residents plus immigrants.
+def elitist_integration(objs, capacity: int) -> tuple[np.ndarray, list[Fitness]]:
+    """The fitness-best ``capacity`` rows of an (N, m) array: residents, then immigrants.
 
-    Fitness is ranked on the union and the sort is stable, so residents
-    precede immigrants on exact ties.  Returns the survivors with their
-    fitness keys from that ranking.
+    Fitness is ranked on all rows and the sort is stable, so earlier rows
+    (residents) precede later ones (immigrants) on exact ties.  Returns the
+    kept row indices, best first, with their fitness keys from that ranking.
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    union = list(current) + list(immigrants)
-    fitness = rank_and_crowd(union)
-    kept = sorted(range(len(union)), key=fitness.__getitem__)[:capacity]
-    return [union[i] for i in kept], [fitness[i] for i in kept]
+    fitness = rank_and_crowd(objs)
+    kept = sorted(range(len(fitness)), key=fitness.__getitem__)[:capacity]
+    return np.array(kept, dtype=np.int64), [fitness[i] for i in kept]

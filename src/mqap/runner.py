@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics
-from .evaluation import Solution, evaluate_batch
+from .evaluation import Rows, evaluate_batch
 from .instance import Instance, InstanceFormatError, InstanceSpec, generate_uniform, load_instance
 from .island import IslandConfig, IslandError, IslandStats, run_fleet
 from .ranking import non_dominated_mask, weakly_dominates
@@ -102,7 +102,10 @@ class ExperimentConfig(IslandConfig):
     def resolve_instance(self) -> Instance:
         if self.instance_path is not None:
             return load_instance_checked(self.instance_path)
-        return generate_uniform(self.gen_spec)
+        try:
+            return generate_uniform(self.gen_spec)
+        except ValueError as exc:
+            raise InstanceLoadError(f"cannot generate an instance: {exc}") from exc
 
 
 @dataclass
@@ -121,11 +124,12 @@ class RunResult:
     trials: list[TrialRecord] = field(default_factory=list)
 
 
-def front_text(solutions: list[Solution], header: dict[str, str]) -> str:
-    """A front file: ``! key=value`` header lines, then one ``perm | objectives`` row per solution."""
-    rows = sorted(
-        (tuple(sol.objectives), tuple(int(v) for v in sol.perm)) for sol in solutions
-    )
+def front_text(perms: np.ndarray, objs: np.ndarray, header: dict[str, str]) -> str:
+    """A front file: ``! key=value`` header lines, then one ``perm | objectives`` row per solution.
+
+    Rows go in ascending order of objectives, then permutation.
+    """
+    rows = sorted(zip(np.asarray(objs).tolist(), np.asarray(perms).tolist()))
     lines = [f"! {key}={value}" for key, value in header.items()]
     lines.extend(
         " ".join(str(v) for v in perm) + " | " + " ".join(str(v) for v in obj)
@@ -134,9 +138,9 @@ def front_text(solutions: list[Solution], header: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_front_file(path, solutions: list[Solution], header: dict[str, str]) -> None:
+def write_front_file(path, perms: np.ndarray, objs: np.ndarray, header: dict[str, str]) -> None:
     try:
-        Path(path).write_text(front_text(solutions, header), encoding="utf-8")
+        Path(path).write_text(front_text(perms, objs, header), encoding="utf-8")
     except OSError as exc:
         raise OutputWriteError(f"cannot write {path}: {exc}") from exc
 
@@ -201,7 +205,7 @@ def _run_trial(instance, config, out_dir, instance_name, index) -> TrialRecord:
     name = f"trial_{index:04d}.front"
     write_front_file(
         out_dir / name,
-        fleet.front,
+        *fleet.front,
         {
             "instance": instance_name,
             "algorithm": config.algorithm,
@@ -213,7 +217,7 @@ def _run_trial(instance, config, out_dir, instance_name, index) -> TrialRecord:
         trial=index,
         seed=seed,
         front_file=name,
-        front_size=len(fleet.front),
+        front_size=len(fleet.front.perms),
         wall_time=fleet.wall_time,
         islands=[r.stats for r in fleet.islands],
     )
@@ -291,7 +295,7 @@ def _nd_compress(objs: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def enumerate_front(
     instance: Instance, limit: int = ENUMERATION_LIMIT, chunk: int = 20000
-) -> list[Solution]:
+) -> Rows:
     """Exact non-dominated set by full permutation enumeration (n <= limit)."""
     if instance.n > limit:
         raise TooLargeError(
@@ -309,10 +313,7 @@ def enumerate_front(
         best_objs = np.concatenate([best_objs, objs])
         best_perms = np.concatenate([best_perms, perms])
         best_objs, best_perms = _nd_compress(best_objs, best_perms)
-    return [
-        Solution(perm=perm.copy(), objectives=tuple(int(v) for v in obj))
-        for obj, perm in zip(best_objs, best_perms)
-    ]
+    return Rows(best_perms, best_objs)
 
 
 @dataclass

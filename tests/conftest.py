@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mqap import Archive, Instance, Solution
+from mqap import Archive, Instance
 from mqap.evaluation import DimensionMismatchError
 from mqap.metrics import EmptyUnionError, _hv2, _hv_sliced
-from mqap.ranking import front_crowding, pareto_ranks
+from mqap.ranking import front_crowding, non_dominated_mask, pareto_ranks
 
 
 def dominates(a, b) -> bool:
@@ -26,43 +26,46 @@ def dominates(a, b) -> bool:
     return not_worse and strictly_better
 
 
-def insert_one(archive: Archive, candidate: Solution) -> bool:
-    """Archive insert oracle: one candidate, scalar dominance tests; True if it joined.
+def insert_one(archive: Archive, perm, objs) -> bool:
+    """Archive insert oracle: one candidate row, scalar dominance tests; True if it joined.
 
     A present permutation or a dominating member rejects the candidate;
     otherwise the members it dominates leave, it joins at the end, and the
     least crowded members are evicted while the archive is over capacity.
     """
-    key = candidate.perm_key()
-    if key in archive._perm_keys:
+    perm = np.asarray(perm, dtype=np.int64)
+    obj = tuple(int(v) for v in objs)
+    key = perm.tobytes()
+    if key in archive._keys:
         return False
-    obj = candidate.objectives
-    for member in archive.members:
-        if dominates(member.objectives, obj):
+    members = [(p, tuple(o)) for p, o in zip(archive.perms, archive.objs.tolist())]
+    for _, member in members:
+        if dominates(member, obj):
             return False
 
     survivors = []
-    for member in archive.members:
-        if dominates(obj, member.objectives):
-            archive._perm_keys.discard(member.perm_key())
+    for p, member in members:
+        if dominates(obj, member):
+            archive._keys.discard(p.tobytes())
         else:
-            survivors.append(member)
-    survivors.append(candidate)
-    archive._perm_keys.add(key)
-    archive.members = survivors
-    while len(archive.members) > archive.capacity:
-        _evict_most_crowded(archive)
+            survivors.append((p, member))
+    survivors.append((perm, obj))
+    archive._keys.add(key)
+    while len(survivors) > archive.capacity:
+        _evict_most_crowded(archive, survivors)
+    archive.perms = np.array([p for p, _ in survivors], dtype=np.int64)
+    archive.objs = np.array([o for _, o in survivors], dtype=np.int64)
     return True
 
 
-def _evict_most_crowded(archive: Archive) -> None:
+def _evict_most_crowded(archive: Archive, members: list) -> None:
     # Members form a single front, so crowding is computed directly.
-    crowding = front_crowding(archive.objectives())
-    evicted = archive.members.pop(int(np.argmin(crowding)))
-    archive._perm_keys.discard(evicted.perm_key())
+    crowding = front_crowding(np.array([o for _, o in members], dtype=np.int64))
+    perm, obj = members.pop(int(np.argmin(crowding)))
+    archive._keys.discard(perm.tobytes())
     archive.evicted += 1
     if archive.evictions is not None:
-        archive.evictions.append(evicted)
+        archive.evictions.append((perm, np.array(obj, dtype=np.int64)))
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int, hi: int = 50) -> Instance:
@@ -83,11 +86,12 @@ def naive_objectives(instance: Instance, perm) -> tuple[int, ...]:
     return tuple(out)
 
 
-def evaluate_delta(instance: Instance, sol: Solution, i: int, j: int) -> tuple[int, ...]:
+def evaluate_delta(instance: Instance, perm, i: int, j: int) -> tuple[int, ...]:
     """Per-pair swap delta oracle in O(m*n), with Python-int diagonal and cross terms.
 
-    Evaluating the swapped permutation equals ``sol.objectives + delta``
-    componentwise; non-zero diagonals and asymmetric matrices are handled.
+    Evaluating the swapped permutation equals the objectives of ``perm``
+    plus ``delta`` componentwise; non-zero diagonals and asymmetric
+    matrices are handled.
     """
     n = instance.n
     if not (0 <= i < n and 0 <= j < n):
@@ -95,7 +99,7 @@ def evaluate_delta(instance: Instance, sol: Solution, i: int, j: int) -> tuple[i
     if i == j:
         return (0,) * instance.m
     d = instance.distances
-    p = sol.perm
+    p = np.asarray(perm, dtype=np.int64)
     pi, pj = int(p[i]), int(p[j])
     out = []
     for f in instance.flows:
@@ -140,6 +144,16 @@ def brute_force_non_dominated(objectives: list[tuple[int, ...]]) -> set[tuple[in
         for obj in objectives
         if not any(dominates(other, obj) for other in objectives)
     }
+
+
+def non_dominated(points) -> np.ndarray:
+    """Rows no other row dominates (minimization), each distinct row once, in input order."""
+    points = np.asarray(points, dtype=np.float64)
+    if not points.size:
+        return points.reshape(0, 0)
+    _, first = np.unique(points, axis=0, return_index=True)
+    distinct = points[np.sort(first)]
+    return distinct[non_dominated_mask(distinct)]
 
 
 def pairwise_non_dominated(points):
@@ -247,11 +261,11 @@ def crowding_oracle(front_objs: list[tuple[int, ...]]) -> list[float]:
     return values
 
 
-def per_front_rank_and_crowd(solutions) -> list[tuple[int, float]]:
+def per_front_rank_and_crowd(objs) -> list[tuple[int, float]]:
     """Fitness-key oracle: rank all rows, then ``front_crowding`` each front on its own."""
-    if not solutions:
+    objs = np.asarray(objs, dtype=np.int64)
+    if not len(objs):
         return []
-    objs = np.array([sol.objectives for sol in solutions], dtype=np.int64)
     ranks = pareto_ranks(objs)
     crowding = np.empty(len(objs))
     for rank in range(int(ranks.max()) + 1):
@@ -287,13 +301,6 @@ def scalar_cycle_crossover(p1, p2):
             pos = int(pos_in_p1[p2[pos]])
         from_p1 = not from_p1
     return c1, c2
-
-
-def solution_from_objectives(objectives, perm_seed: int = 0, n: int | None = None) -> Solution:
-    """Solution carrying arbitrary objectives (ranking tests don't evaluate)."""
-    n = n or max(4, perm_seed % 7 + 4)
-    rng = np.random.default_rng(perm_seed)
-    return Solution(perm=rng.permutation(n).astype(np.int64), objectives=tuple(objectives))
 
 
 @pytest.fixture

@@ -20,11 +20,9 @@ import mqap.island
 from mqap import (
     Archive,
     IslandConfig,
-    Solution,
     cycle_crossover,
-    evaluate_full,
+    evaluate_batch,
     hypervolume,
-    make_solution,
     normalize_fronts,
     pareto_ranks,
     reference_point,
@@ -34,10 +32,9 @@ from mqap import (
 )
 from mqap.instance import InstanceSpec, generate_uniform
 from mqap.island import run_fleet
-from mqap.metrics import non_dominated
 from mqap.runner import ExperimentConfig, enumerate_front, island_seed, run_experiment, trial_seed
 
-from conftest import dominates, random_instance, repeated_filter_ranks
+from conftest import dominates, non_dominated, random_instance, repeated_filter_ranks
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str) -> None:
@@ -53,13 +50,13 @@ def test_criterion_1_delta_exactness():
         n = int(rng.integers(2, 26))
         m = int(rng.integers(1, 5))
         inst = random_instance(rng, n, m, hi=100)
-        sol = make_solution(inst, rng.permutation(n))
+        perm = rng.permutation(n)
         i, j = int(rng.integers(n)), int(rng.integers(n))
-        delta = tuple(int(x) for x in swap_delta_matrix(inst, sol.perm)[:, i, j])
-        swapped = sol.perm.copy()
+        delta = tuple(int(x) for x in swap_delta_matrix(inst, perm)[:, i, j])
+        swapped = perm.copy()
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        after = evaluate_full(inst, swapped)
-        assert after == tuple(o + d for o, d in zip(sol.objectives, delta)), (n, m, i, j)
+        before, after = evaluate_batch(inst, [perm, swapped]).tolist()
+        assert after == [o + d for o, d in zip(before, delta)], (n, m, i, j)
         cases += 1
     elapsed = time.monotonic() - start
     ok = cases == 1000 and elapsed < 5.0
@@ -131,12 +128,12 @@ def test_criterion_5_small_instance_optimality():
     per_instance = []
     for inst_seed in range(1, 6):
         inst = generate_uniform(InstanceSpec(n=7, m=2, correlation=0.0, seed=inst_seed))
-        exact = [tuple(float(v) for v in s.objectives) for s in enumerate_front(inst)]
+        exact = enumerate_front(inst)[1].astype(float)
         passes = 0
         for trial in range(10):
             config = IslandConfig(population=20, generations=50, ls_secs=0.5)
             result = run_island(config, inst, island_seed(trial_seed(100 + inst_seed, trial), 0))
-            mine = [tuple(float(v) for v in s.objectives) for s in result.archive.members]
+            mine = result.archive.objs.astype(float)
             (norm_exact, norm_mine), _ = normalize_fronts([exact, mine])
             ref = reference_point(non_dominated(np.concatenate([norm_exact, norm_mine])))
             ratio = hypervolume(norm_mine, ref) / hypervolume(norm_exact, ref)
@@ -183,25 +180,25 @@ def test_criterion_6_archive_invariants():
         b = 3000 - a + rng.randrange(-300, 300)
         objectives = (a, b)
         stream.append(objectives)
-        perm = np.array(rng.sample(range(n), n), dtype=np.int64)
-        archive.insert([Solution(perm=perm, objectives=objectives)])
+        archive.insert([rng.sample(range(n), n)], [objectives])
         assert len(archive) <= 50
         if step % 250 == 0:
-            for x in archive.members:
-                for y in archive.members:
-                    if x is not y:
-                        assert not dominates(x.objectives, y.objectives)
-    for x in archive.members:
-        for y in archive.members:
-            if x is not y:
-                assert not dominates(x.objectives, y.objectives)
+            members = [tuple(o) for o in archive.objs.tolist()]
+            for x in members:
+                for y in members:
+                    assert not dominates(x, y)
+    members = [tuple(o) for o in archive.objs.tolist()]
+    for x in members:
+        for y in members:
+            assert not dominates(x, y)
 
     true_front = _true_front_2d(stream)
+    evicted = [tuple(o.tolist()) for _, o in archive.evictions]
     strays = 0
-    for member in archive.members:
-        if member.objectives in true_front:
+    for member in members:
+        if member in true_front:
             continue
-        assert any(dominates(e.objectives, member.objectives) for e in archive.evictions)
+        assert any(dominates(e, member) for e in evicted)
         strays += 1
     elapsed = time.monotonic() - start
     ok = elapsed < 10.0
@@ -316,10 +313,7 @@ def test_criterion_8_directional_comparison_reported():
     def paired(pair_seed):
         memetic = fleet("memetic", pair_seed)
         baseline = fleet("nsga2", pair_seed)
-        return (
-            [tuple(float(v) for v in s.objectives) for s in memetic.front],
-            [tuple(float(v) for v in s.objectives) for s in baseline.front],
-        )
+        return memetic.front.objs.astype(float), baseline.front.objs.astype(float)
 
     with ThreadPoolExecutor(max_workers=3) as pool:
         pairs = list(pool.map(paired, range(10)))

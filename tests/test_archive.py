@@ -3,160 +3,171 @@ import random
 import numpy as np
 import pytest
 
-from mqap import Archive, Solution, archive_merge
+from mqap import Archive, archive_merge
 
 from conftest import brute_force_non_dominated, dominates, insert_one
 
 
-def _sol(objectives, perm):
-    return Solution(perm=np.array(perm, dtype=np.int64), objectives=tuple(objectives))
+def _rows(*pairs):
+    """(perms, objs) int64 arrays from (objectives, permutation) pairs."""
+    return (
+        np.array([perm for _, perm in pairs], dtype=np.int64),
+        np.array([objs for objs, _ in pairs], dtype=np.int64),
+    )
 
 
-def _fresh(rng, n=6, m=2, hi=20):
-    perm = np.array(rng.sample(range(n), n), dtype=np.int64)
-    return Solution(perm=perm, objectives=tuple(rng.randrange(hi) for _ in range(m)))
+def _fresh(rng, count, n=6, m=2, hi=20):
+    return _rows(
+        *[
+            (tuple(rng.randrange(hi) for _ in range(m)), rng.sample(range(n), n))
+            for _ in range(count)
+        ]
+    )
+
+
+def _objectives(archive):
+    return [tuple(o) for o in archive.objs.tolist()]
 
 
 def test_dominated_candidate_rejected():
     archive = Archive(capacity=10)
-    archive.insert([_sol((1, 1), [0, 1, 2, 3])])
-    archive.insert([_sol((2, 2), [1, 0, 2, 3])])
-    assert [s.objectives for s in archive.members] == [(1, 1)]
+    assert archive.insert(*_rows(((1, 1), [0, 1, 2, 3]))).tolist() == [True]
+    assert archive.insert(*_rows(((2, 2), [1, 0, 2, 3]))).tolist() == [False]
+    assert _objectives(archive) == [(1, 1)]
 
 
 def test_dominating_candidate_sweeps_members():
     archive = Archive(capacity=10)
-    archive.insert([_sol((3, 5), [0, 1, 2, 3]), _sol((4, 4), [1, 0, 2, 3]), _sol((5, 3), [2, 0, 1, 3])])
+    archive.insert(*_rows(((3, 5), [0, 1, 2, 3]), ((4, 4), [1, 0, 2, 3]), ((5, 3), [2, 0, 1, 3])))
     assert len(archive) == 3
-    archive.insert([_sol((1, 1), [3, 0, 1, 2])])
-    assert [s.objectives for s in archive.members] == [(1, 1)]
+    archive.insert(*_rows(((1, 1), [3, 0, 1, 2])))
+    assert _objectives(archive) == [(1, 1)]
 
 
 def test_permutation_duplicate_rejected():
     archive = Archive(capacity=10)
-    first = _sol((2, 2), [0, 1, 2, 3])
-    archive.insert([first, _sol((2, 2), [0, 1, 2, 3])])
-    assert archive.members == [first]
+    joined = archive.insert(*_rows(((2, 2), [0, 1, 2, 3]), ((2, 2), [0, 1, 2, 3])))
+    assert joined.tolist() == [True, False]
+    assert archive.perms.tolist() == [[0, 1, 2, 3]] and _objectives(archive) == [(2, 2)]
 
 
 def test_objective_tie_with_distinct_permutation_kept():
     archive = Archive(capacity=10)
-    archive.insert([_sol((2, 2), [0, 1, 2, 3]), _sol((2, 2), [1, 0, 2, 3])])
+    archive.insert(*_rows(((2, 2), [0, 1, 2, 3]), ((2, 2), [1, 0, 2, 3])))
     assert len(archive) == 2
 
 
 def test_insert_idempotent():
     rng = random.Random(0)
     archive = Archive(capacity=10)
-    sols = [_fresh(rng) for _ in range(8)]
-    archive.insert(sols)
-    before = [(s.objectives, s.perm_key()) for s in archive.members]
-    archive.insert(list(archive.members))
-    assert [(s.objectives, s.perm_key()) for s in archive.members] == before
+    archive.insert(*_fresh(rng, 8))
+    before = (archive.perms.copy(), archive.objs.copy())
+    assert not archive.insert(archive.perms, archive.objs).any()
+    assert np.array_equal(archive.perms, before[0]) and np.array_equal(archive.objs, before[1])
 
 
 def test_dominating_candidate_never_rejected_by_filter():
     rng = random.Random(4)
     archive = Archive(capacity=5)
-    archive.insert([_fresh(rng) for _ in range(30)])
-    target = archive.members[0]
-    better = _sol(tuple(v - 1 for v in target.objectives), rng.sample(range(6), 6))
-    archive.insert([better])
-    assert any(member is better for member in archive.members)
+    archive.insert(*_fresh(rng, 30))
+    better = _rows((tuple(v - 1 for v in archive.objs[0].tolist()), rng.sample(range(6), 6)))
+    assert archive.insert(*better).tolist() == [True]
+    assert better[0].tolist()[0] in archive.perms.tolist()
 
 
 def test_capacity_truncation_keeps_bound():
-    rng = random.Random(11)
-    archive = Archive(capacity=6)
     # A single long anti-chain forces crowding-based eviction.
-    archive.insert([_sol((k, 40 - k), [k % 4, (k + 1) % 4, (k + 2) % 4, (k + 3) % 4]) for k in range(40)])
+    archive = Archive(capacity=6)
+    archive.insert(
+        *_rows(*[((k, 40 - k), [k % 4, (k + 1) % 4, (k + 2) % 4, (k + 3) % 4]) for k in range(40)])
+    )
     assert len(archive) <= 6
-    _assert_mutually_non_dominated(archive.members)
+    _assert_mutually_non_dominated(_objectives(archive))
 
 
-def _assert_mutually_non_dominated(members):
-    for a in members:
-        for b in members:
-            if a is not b:
-                assert not dominates(a.objectives, b.objectives)
+def _assert_mutually_non_dominated(objectives):
+    for a in objectives:
+        for b in objectives:
+            assert not dominates(a, b)
 
 
 def test_stream_stress_with_eviction_audit():
     rng = random.Random(99)
     archive = Archive(capacity=50, track_evictions=True)
-    stream = [_fresh(rng, n=7, m=2, hi=60) for _ in range(200)]
-    for sol in stream:
-        archive.insert([sol])
+    perms, objs = _fresh(rng, 200, n=7, m=2, hi=60)
+    for row in range(len(perms)):
+        archive.insert(perms[row : row + 1], objs[row : row + 1])
         assert len(archive) <= 50
-    _assert_mutually_non_dominated(archive.members)
+    _assert_mutually_non_dominated(_objectives(archive))
 
-    true_front = brute_force_non_dominated([s.objectives for s in stream])
-    evicted = archive.evictions
-    for member in archive.members:
-        if member.objectives in true_front:
+    true_front = brute_force_non_dominated([tuple(o) for o in objs.tolist()])
+    evicted = [tuple(o.tolist()) for _, o in archive.evictions]
+    for member in _objectives(archive):
+        if member in true_front:
             continue
-        assert any(dominates(e.objectives, member.objectives) for e in evicted)
+        assert any(dominates(e, member) for e in evicted)
+
+
+def _merged_objectives(archives):
+    return [tuple(o) for o in archive_merge(archives)[1].tolist()]
 
 
 def test_merge_idempotent():
     rng = random.Random(1)
     archive = Archive(capacity=20)
-    archive.insert([_fresh(rng) for _ in range(15)])
-    merged = archive_merge([archive, archive])
-    assert sorted(s.objectives for s in merged) == sorted(s.objectives for s in archive.members)
+    archive.insert(*_fresh(rng, 15))
+    assert sorted(_merged_objectives([archive, archive])) == sorted(_objectives(archive))
 
 
 def test_merge_with_empty_archive():
     rng = random.Random(2)
     full = Archive(capacity=20)
-    full.insert([_fresh(rng) for _ in range(10)])
+    full.insert(*_fresh(rng, 10))
     empty = Archive(capacity=20)
-    merged = archive_merge([full, empty])
-    assert sorted(s.objectives for s in merged) == sorted(s.objectives for s in full.members)
+    assert sorted(_merged_objectives([full, empty])) == sorted(_objectives(full))
+    assert sorted(_merged_objectives([empty, full])) == sorted(_objectives(full))
 
 
 def test_merge_keeps_only_global_survivors():
     rng = random.Random(3)
     a, b = Archive(capacity=30), Archive(capacity=30)
-    a.insert([_fresh(rng, hi=40) for _ in range(25)])
-    b.insert([_fresh(rng, hi=40) for _ in range(25)])
-    merged = archive_merge([a, b])
-    pool = a.members + b.members
-    expected = brute_force_non_dominated([s.objectives for s in pool])
-    assert {s.objectives for s in merged} == expected
+    a.insert(*_fresh(rng, 25, hi=40))
+    b.insert(*_fresh(rng, 25, hi=40))
+    merged = _merged_objectives([a, b])
+    expected = brute_force_non_dominated(_objectives(a) + _objectives(b))
+    assert set(merged) == expected
     _assert_mutually_non_dominated(merged)
 
 
 def test_merge_deduplicates_shared_permutations():
-    shared = _sol((5, 5), [0, 1, 2, 3])
     a, b = Archive(capacity=5), Archive(capacity=5)
-    a.insert([shared])
-    b.insert([shared.copy()])
-    assert len(archive_merge([a, b])) == 1
+    a.insert(*_rows(((5, 5), [0, 1, 2, 3])))
+    b.insert(*_rows(((5, 5), [0, 1, 2, 3])))
+    assert len(archive_merge([a, b])[0]) == 1
 
 
 def test_merge_keeps_ties_and_shared_permutations_in_first_occurrence_order():
     a, b = Archive(capacity=5), Archive(capacity=5)
-    a.insert([_sol((4, 4), [0, 1, 2, 3]), _sol((2, 6), [1, 0, 2, 3])])
-    a.insert([_sol((7, 0), [0, 2, 1, 3])])
+    a.insert(*_rows(((4, 4), [0, 1, 2, 3]), ((2, 6), [1, 0, 2, 3])))
+    a.insert(*_rows(((7, 0), [0, 2, 1, 3])))
     b.insert(
-        [
-            _sol((2, 6), [2, 1, 0, 3]),  # a's objectives, another permutation
-            _sol((4, 4), [0, 1, 2, 3]),  # a permutation both archives hold
-            _sol((8, 1), [3, 1, 2, 0]),  # dominated by a member of a only
-            _sol((3, 5), [0, 3, 2, 1]),
-        ]
+        *_rows(
+            ((2, 6), [2, 1, 0, 3]),  # a's objectives, another permutation
+            ((4, 4), [0, 1, 2, 3]),  # a permutation both archives hold
+            ((8, 1), [3, 1, 2, 0]),  # dominated by a member of a only
+            ((3, 5), [0, 3, 2, 1]),
+        )
     )
     assert len(b) == 4
-    merged = archive_merge([a, b])
-    assert [(s.objectives, s.perm.tolist()) for s in merged] == [
-        ((4, 4), [0, 1, 2, 3]),
-        ((2, 6), [1, 0, 2, 3]),
-        ((7, 0), [0, 2, 1, 3]),
-        ((2, 6), [2, 1, 0, 3]),
-        ((3, 5), [0, 3, 2, 1]),
+    perms, objs = archive_merge([a, b])
+    assert list(zip(objs.tolist(), perms.tolist())) == [
+        ([4, 4], [0, 1, 2, 3]),
+        ([2, 6], [1, 0, 2, 3]),
+        ([7, 0], [0, 2, 1, 3]),
+        ([2, 6], [2, 1, 0, 3]),
+        ([3, 5], [0, 3, 2, 1]),
     ]
-    assert merged[:3] == a.members
+    assert np.array_equal(perms[:3], a.perms) and np.array_equal(objs[:3], a.objs)
 
 
 def test_capacity_validation():
@@ -165,7 +176,7 @@ def test_capacity_validation():
 
 
 def _batches(rng, m, hi, base):
-    """Batches of solutions over 6-element permutations, each with one objective vector.
+    """Batches of rows over 6-element permutations, each with one objective vector.
 
     Every vector starts as a point of coordinate sum ``hi``.  Such points
     never dominate one another, so fronts grow long enough to fill archives
@@ -182,17 +193,20 @@ def _batches(rng, m, hi, base):
             if rng.random() < 0.5:
                 point = [v + rng.randrange(hi) for v in point]
             objectives_of[perm] = tuple(base + v for v in point)
-        return _sol(objectives_of[perm], perm)
+        return objectives_of[perm], perm
 
-    return [[draw() for _ in range(rng.randrange(60))] for _ in range(rng.randrange(1, 8))]
+    return [
+        [draw() for _ in range(rng.randrange(60))] for _ in range(rng.randrange(1, 8))
+    ]
 
 
 def _state(archive):
-    """Members and evictions by identity, in order, and the permutation key set."""
+    """Member rows and evicted rows, in order, and the permutation key set."""
     return (
-        [id(sol) for sol in archive.members],
-        archive._perm_keys,
-        [id(sol) for sol in archive.evictions],
+        archive.perms.tolist() if len(archive) else [],
+        archive.objs.tolist() if len(archive) else [],
+        archive._keys,
+        [(p.tolist(), o.tolist()) for p, o in archive.evictions],
     )
 
 
@@ -214,10 +228,18 @@ def test_batch_insert_matches_insert_one(fixed_base):
         reference = Archive(capacity, track_evictions=True)
         batches = _batches(rng, m, hi, base)
         for batch in batches:
-            batched.insert(batch)
-            for sol in batch:
-                insert_one(reference, sol)
+            joined = batched.insert(*_rows(*batch)) if batch else batched.insert([], [])
+            expected = [insert_one(reference, perm, objs) for objs, perm in batch]
             assert _state(batched) == _state(reference), (case, m, hi, base, capacity)
+            # A member on return is the last row of its permutation that joined.
+            members = {tuple(p) for p in reference.perms.tolist()}
+            kept = [False] * len(batch)
+            for row in reversed(range(len(batch))):
+                perm = tuple(batch[row][1])
+                if expected[row] and perm in members:
+                    kept[row] = True
+                    members.discard(perm)
+            assert joined.tolist() == kept, (case, m, hi, base, capacity)
         assert batched.offered == sum(map(len, batches))
         assert batched.evicted == len(batched.evictions)
         if capacity == 100 and len(reference) == 100:

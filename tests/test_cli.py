@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mqap
-from mqap import Solution, load_instance
+from mqap import evaluate_batch, load_instance
 from mqap.cli import build_parser, main, parse_config_file, parse_gen_spec
 from mqap.runner import (
     ExperimentConfig,
@@ -184,25 +184,20 @@ def test_enumerate_guard():
 
 def test_enumerate_front_matches_brute_force(np_rng):
     from conftest import random_instance
-    from mqap import evaluate_full
     import itertools
 
     inst = random_instance(np_rng, 5, 2)
-    front = enumerate_front(inst)
-    all_objs = [
-        evaluate_full(inst, np.array(p)) for p in itertools.permutations(range(5))
-    ]
-    expected = brute_force_non_dominated(all_objs)
-    assert {s.objectives for s in front} == expected
+    perms, objs = enumerate_front(inst)
+    assert perms.dtype == objs.dtype == np.int64
+    assert np.array_equal(objs, evaluate_batch(inst, perms))
+    all_objs = evaluate_batch(inst, list(itertools.permutations(range(5))))
+    expected = brute_force_non_dominated([tuple(o) for o in all_objs.tolist()])
+    assert {tuple(o) for o in objs.tolist()} == expected
 
 
 def test_hv_command(tmp_path, capsys):
     front_path = tmp_path / "f.front"
-    sols = [
-        Solution(perm=np.array([0, 1]), objectives=(25, 75)),
-        Solution(perm=np.array([1, 0]), objectives=(50, 50)),
-    ]
-    write_front_file(front_path, sols, {"instance": "demo"})
+    write_front_file(front_path, [[0, 1], [1, 0]], [[25, 75], [50, 50]], {"instance": "demo"})
     assert _run(["hv", "--front", front_path, "--ref", "100,100"]) == 0
     printed = float(capsys.readouterr().out.strip())
     assert printed == pytest.approx(3125.0)
@@ -210,12 +205,8 @@ def test_hv_command(tmp_path, capsys):
 
 def _write_bad_inputs(directory):
     """Front and result-directory files that the bad-input cases point at."""
-    write_front_file(
-        directory / "two.front",
-        [Solution(perm=np.array([0, 1]), objectives=(25, 75))],
-        {"instance": "demo"},
-    )
-    write_front_file(directory / "empty.front", [], {"instance": "demo"})
+    write_front_file(directory / "two.front", [[0, 1]], [[25, 75]], {"instance": "demo"})
+    write_front_file(directory / "empty.front", [], [], {"instance": "demo"})
     (directory / "malformed.front").write_text("0 1 | 3 x\n", encoding="utf-8")
     (directory / "ragged.front").write_text(
         "! instance=demo\n0 1 | 3 4\n1 0 | 5 6 7\n", encoding="utf-8"
@@ -260,6 +251,9 @@ BAD_INPUTS = [
      "corelation"),
     ("spec-trailing-comma",
      ["run", "--gen-spec", "n=6,m=2,", "--trials", 1, "--generations", 1], None),
+    ("spec-infeasible-correlation",
+     ["run", "--gen-spec", "n=3,m=2,correlation=1", "--trials", 1, "--generations", 1],
+     "correlation"),
     ("spec-max-value-beyond-int64",
      ["run", "--gen-spec", "n=5,m=2,max_value=100000000000000000000"], "max_value"),
     ("instance-entry-beyond-int64", ["run", "--instance", "huge.qap"], "99999999999999999999"),
@@ -380,12 +374,8 @@ def _write_synthetic_result(directory, instance, label_seed, fronts):
     records = []
     for idx, front in enumerate(fronts):
         name = f"trial_{idx:04d}.front"
-        sols = [
-            Solution(perm=np.arange(4) + 0, objectives=tuple(obj)) for obj in front
-        ]
-        for k, sol in enumerate(sols):
-            sol.perm = np.roll(np.arange(4), k)
-        write_front_file(directory / name, sols, {"instance": instance, "seed": str(idx)})
+        perms = [np.roll(np.arange(4), k) for k in range(len(front))]
+        write_front_file(directory / name, perms, front, {"instance": instance, "seed": str(idx)})
         records.append(
             {"trial": idx, "seed": idx, "front_file": name, "front_size": len(front),
              "wall_time": 0.0, "islands": []}

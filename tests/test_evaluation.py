@@ -4,34 +4,33 @@ import math
 import numpy as np
 import pytest
 
-from mqap import Instance, apply_swap, evaluate_full, make_solution
-from mqap.evaluation import (
-    DimensionMismatchError,
-    evaluate_batch,
-    random_solution,
-    random_solutions,
-    swap_delta_matrix,
-)
-from mqap.genetics import Rng
+from mqap import Instance, evaluate_batch
+from mqap.evaluation import DimensionMismatchError, swap_delta_matrix
+from mqap.genetics import Rng, random_permutations
 from mqap.instance import _INT64_SAFE
 
 from conftest import evaluate_delta, naive_objectives, random_instance
 
 
+def _objectives(inst, perm):
+    """One permutation's costs as a tuple of ints."""
+    return tuple(evaluate_batch(inst, [perm])[0].tolist())
+
+
 def test_hand_case():
     inst = Instance(n=2, distances=[[0, 1], [1, 0]], flows=([[0, 3], [2, 0]],))
-    assert evaluate_full(inst, [0, 1]) == (5,)
+    assert _objectives(inst, [0, 1]) == (5,)
 
 
 def test_zero_flows():
     inst = Instance(n=4, distances=np.arange(16).reshape(4, 4), flows=(np.zeros((4, 4)),) * 2)
-    assert evaluate_full(inst, [2, 0, 3, 1]) == (0, 0)
+    assert _objectives(inst, [2, 0, 3, 1]) == (0, 0)
 
 
 def test_wrong_length_rejected():
     inst = Instance(n=3, distances=np.ones((3, 3)), flows=(np.ones((3, 3)),))
     with pytest.raises(DimensionMismatchError):
-        evaluate_full(inst, [0, 1])
+        evaluate_batch(inst, [[0, 1]])
 
 
 def test_matches_naive_oracle(np_rng):
@@ -39,7 +38,7 @@ def test_matches_naive_oracle(np_rng):
         n = int(np_rng.integers(2, 9))
         inst = random_instance(np_rng, n, int(np_rng.integers(1, 4)))
         perm = np_rng.permutation(n)
-        assert evaluate_full(inst, perm) == naive_objectives(inst, perm)
+        assert _objectives(inst, perm) == naive_objectives(inst, perm)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -50,7 +49,7 @@ def test_batch_matches_naive_oracle(np_rng, m, batch):
     objs = evaluate_batch(inst, perms)
     assert objs.shape == (batch, m) and objs.dtype == np.int64
     assert [tuple(row) for row in objs.tolist()] == [naive_objectives(inst, p) for p in perms]
-    assert [evaluate_full(inst, p) for p in perms] == [tuple(row) for row in objs.tolist()]
+    assert [_objectives(inst, p) for p in perms] == [tuple(row) for row in objs.tolist()]
 
 
 def test_batch_is_exact_just_under_the_int64_guard():
@@ -78,20 +77,19 @@ def test_batch_rejects_wrong_length_and_non_permutations():
     with pytest.raises(DimensionMismatchError):
         evaluate_batch(inst, [0, 1, 2])
     with pytest.raises(DimensionMismatchError):
-        make_solution(inst, [0, 1])
+        evaluate_batch(inst, [[0, 1]])
     with pytest.raises(ValueError, match="permutations"):
         evaluate_batch(inst, [[0, 1, 2], [0, 0, 2]])
 
 
 def test_random_solutions_draw_like_repeated_single_draws():
     inst = random_instance(np.random.default_rng(5), 7, 2)
-    batch = random_solutions(inst, Rng(11), 6)
+    batch = random_permutations(7, 6, Rng(11))
     rng = Rng(11)
-    singles = [random_solution(inst, rng) for _ in range(6)]
-    assert [s.perm.tolist() for s in batch] == [s.perm.tolist() for s in singles]
-    assert [s.objectives for s in batch] == [s.objectives for s in singles]
-    assert all(s.perm.dtype == np.int64 for s in batch)
-    assert random_solutions(inst, Rng(11), 0) == []
+    singles = [random_permutations(7, 1, rng)[0] for _ in range(6)]
+    assert batch.dtype == np.int64 and batch.tolist() == [s.tolist() for s in singles]
+    assert evaluate_batch(inst, batch).tolist() == [list(_objectives(inst, s)) for s in singles]
+    assert random_permutations(7, 0, Rng(11)).shape == (0, 7)
 
 
 def test_location_relabel_invariance(np_rng):
@@ -103,33 +101,31 @@ def test_location_relabel_invariance(np_rng):
     relabeled = Instance(
         n=6, distances=inst.distances[np.ix_(sigma, sigma)], flows=inst.flows
     )
-    assert evaluate_full(inst, perm) == evaluate_full(relabeled, perm[sigma])
+    assert _objectives(inst, perm) == _objectives(relabeled, perm[sigma])
 
 
 def test_delta_same_position_is_zero(np_rng):
     inst = random_instance(np_rng, 5, 3)
-    sol = make_solution(inst, np_rng.permutation(5))
-    assert evaluate_delta(inst, sol, 2, 2) == (0, 0, 0)
+    assert evaluate_delta(inst, np_rng.permutation(5), 2, 2) == (0, 0, 0)
 
 
 def test_delta_out_of_range(np_rng):
     inst = random_instance(np_rng, 5, 1)
-    sol = make_solution(inst, np_rng.permutation(5))
     with pytest.raises(DimensionMismatchError):
-        evaluate_delta(inst, sol, 0, 5)
+        evaluate_delta(inst, np_rng.permutation(5), 0, 5)
 
 
-def _delta_oracle(inst, sol, i, j):
-    swapped = sol.perm.copy()
+def _delta_oracle(inst, perm, i, j):
+    swapped = perm.copy()
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    after = evaluate_full(inst, swapped)
-    return tuple(a - b for a, b in zip(after, sol.objectives))
+    after = _objectives(inst, swapped)
+    return tuple(a - b for a, b in zip(after, _objectives(inst, perm)))
 
 
 def test_delta_matches_full_reevaluation(np_rng):
     inst = random_instance(np_rng, 4, 2)
-    sol = make_solution(inst, np_rng.permutation(4))
-    assert evaluate_delta(inst, sol, 0, 2) == _delta_oracle(inst, sol, 0, 2)
+    perm = np_rng.permutation(4)
+    assert evaluate_delta(inst, perm, 0, 2) == _delta_oracle(inst, perm, 0, 2)
 
 
 def test_delta_symmetric_instance(np_rng):
@@ -137,9 +133,9 @@ def test_delta_symmetric_instance(np_rng):
     sym_d = base + base.T
     fbase = np_rng.integers(0, 30, (6, 6))
     inst = Instance(n=6, distances=sym_d, flows=(fbase + fbase.T,))
-    sol = make_solution(inst, np_rng.permutation(6))
+    perm = np_rng.permutation(6)
     for i, j in itertools.combinations(range(6), 2):
-        assert evaluate_delta(inst, sol, i, j) == _delta_oracle(inst, sol, i, j)
+        assert evaluate_delta(inst, perm, i, j) == _delta_oracle(inst, perm, i, j)
 
 
 def _kernel_dtype(inst):
@@ -148,14 +144,14 @@ def _kernel_dtype(inst):
     return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else np.int64
 
 
-def _assert_matrix_matches_oracle(inst, sol):
-    deltas = swap_delta_matrix(inst, sol.perm)
+def _assert_matrix_matches_oracle(inst, perm):
+    deltas = swap_delta_matrix(inst, perm)
     assert deltas.shape == (inst.m, inst.n, inst.n) and deltas.dtype == _kernel_dtype(inst)
     assert np.array_equal(deltas, deltas.transpose(0, 2, 1))
     assert not np.diagonal(deltas, axis1=1, axis2=2).any()
     for i, j in itertools.combinations(range(inst.n), 2):
         # tolist() gives Python floats or ints, which compare with ints exactly.
-        assert deltas[:, i, j].tolist() == list(evaluate_delta(inst, sol, i, j))
+        assert deltas[:, i, j].tolist() == list(evaluate_delta(inst, perm, i, j))
 
 
 def test_delta_matrix_matches_per_pair(np_rng):
@@ -163,7 +159,7 @@ def test_delta_matrix_matches_per_pair(np_rng):
     sizes += [(int(np_rng.integers(3, 12)), int(np_rng.integers(1, 4))) for _ in range(10)]
     for n, m in sizes:
         inst = random_instance(np_rng, n, m)
-        _assert_matrix_matches_oracle(inst, make_solution(inst, np_rng.permutation(n)))
+        _assert_matrix_matches_oracle(inst, np_rng.permutation(n))
 
 
 # With n = 6 the kernel bound is 28 * max_d * max_f; these tops put it just
@@ -201,18 +197,18 @@ def test_delta_matrix_exact_at_each_dtype_limit(np_rng, low, top, dtype):
     inst = Instance(n=n, distances=matrix(), flows=(matrix(), matrix()))
     assert inst.swap_operands.dtype == dtype == _kernel_dtype(inst)
     for _ in range(20):
-        _assert_matrix_matches_oracle(inst, make_solution(inst, np_rng.permutation(n)))
+        _assert_matrix_matches_oracle(inst, np_rng.permutation(n))
 
 
-def test_apply_swap_involution(np_rng):
+def test_swap_delta_involution(np_rng):
     inst = random_instance(np_rng, 7, 2)
-    sol = make_solution(inst, np_rng.permutation(7))
-    delta = evaluate_delta(inst, sol, 1, 4)
-    swapped = apply_swap(sol, 1, 4, delta)
-    assert swapped.objectives == evaluate_full(inst, swapped.perm)
-    back = apply_swap(swapped, 1, 4, evaluate_delta(inst, swapped, 1, 4))
-    assert np.array_equal(back.perm, sol.perm)
-    assert back.objectives == sol.objectives
+    perm = np_rng.permutation(7)
+    swapped = perm.copy()
+    swapped[[1, 4]] = swapped[[4, 1]]
+    delta = evaluate_delta(inst, perm, 1, 4)
+    after = tuple(o + d for o, d in zip(_objectives(inst, perm), delta))
+    assert after == _objectives(inst, swapped)
+    assert evaluate_delta(inst, swapped, 1, 4) == tuple(-d for d in delta)
 
 
 def test_delta_scales_roughly_linearly(np_rng):
@@ -222,23 +218,15 @@ def test_delta_scales_roughly_linearly(np_rng):
 
     def per_call(n, repeats=300):
         inst = random_instance(np_rng, n, 2)
-        sol = make_solution(inst, np_rng.permutation(n))
+        perm = np_rng.permutation(n)
         best = float("inf")
         for _ in range(5):
             start = time.perf_counter()
             for _ in range(repeats):
-                evaluate_delta(inst, sol, 0, n - 1)
+                evaluate_delta(inst, perm, 0, n - 1)
             best = min(best, (time.perf_counter() - start) / repeats)
         return best
 
     small, large = per_call(20), per_call(80)
     assert large / small < 10.0, f"delta cost ratio {large / small:.1f} for 4x n"
 
-
-def test_apply_swap_same_position(np_rng):
-    inst = random_instance(np_rng, 4, 1)
-    sol = make_solution(inst, np_rng.permutation(4))
-    same = apply_swap(sol, 2, 2, (0,))
-    assert np.array_equal(same.perm, sol.perm)
-    assert same.objectives == sol.objectives
-    assert same.perm is not sol.perm

@@ -20,21 +20,21 @@ from mqap import (
     Archive,
     IslandConfig,
     Rng,
-    Solution,
     check_migrants,
+    evaluate,
+    evaluate_batch,
     run_fleet,
     run_island,
 )
 from mqap.cli import main
-from mqap.evaluation import random_solution, random_solutions
-from mqap.genetics import tournament_select
+from mqap.genetics import random_permutations, tournament_select
 from mqap.instance import InstanceSpec, generate_uniform
 from mqap.island import IslandError, send_migrants
-from mqap.metrics import hypervolume, non_dominated, normalize_fronts, reference_point
+from mqap.metrics import hypervolume, normalize_fronts, reference_point
 from mqap.ranking import rank_and_crowd
 from mqap.runner import ExperimentConfig, TrialWorkerError, island_seed, run_experiment
 
-from conftest import brute_force_non_dominated, dominates
+from conftest import brute_force_non_dominated, dominates, non_dominated
 
 
 SEED = 3  # of every test that runs one island
@@ -59,25 +59,32 @@ def _instance(n=10, m=2, seed=1):
     return generate_uniform(InstanceSpec(n=n, m=m, correlation=0.0, seed=seed))
 
 
+def _random_rows(inst, count, rng):
+    return evaluate(inst, random_permutations(inst.n, count, rng))
+
+
+def _objectives(objs):
+    return [tuple(o) for o in objs.tolist()]
+
+
 @pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
 def test_zero_generations_archives_non_dominated_initials(algorithm):
     inst = _instance()
     config = _config(generations=0, algorithm=algorithm)
     result = run_island(config, inst, SEED)
-    rng = Rng(SEED)
-    initial = [random_solution(inst, rng) for _ in range(config.population)]
-    expected = brute_force_non_dominated([s.objectives for s in initial])
-    assert {s.objectives for s in result.archive.members} == expected
+    _, initial = _random_rows(inst, config.population, Rng(SEED))
+    expected = brute_force_non_dominated(_objectives(initial))
+    assert set(_objectives(result.archive.objs)) == expected
     assert result.stats.generations == 0
 
 
 @pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
 def test_archive_mutually_non_dominated(algorithm):
     result = run_island(_config(algorithm=algorithm), _instance(), SEED)
-    members = result.archive.members
+    members = _objectives(result.archive.objs)
     assert members
     for a in members:
-        assert not any(dominates(b.objectives, a.objectives) for b in members if b is not a)
+        assert not any(dominates(b, a) for b in members)
 
 
 def _inboxes(count):
@@ -102,80 +109,84 @@ def test_migration_roundtrip_sequential():
     receiver = run_island(config, inst, 4, 1, inboxes)
     assert receiver.stats.migrants_received >= sender.stats.migrants_sent / 1
     # Receiver's sends stay queued for island 0; they never block anything.
-    assert check_migrants(inboxes[0])
+    assert len(check_migrants(inboxes[0], inst.n, inst.m)[0])
 
 
 def test_check_migrants_drains_everything():
     inbox = queue.SimpleQueue()
-    assert check_migrants(inbox) == []
+    perms, objs = check_migrants(inbox, 6, 2)
+    assert perms.shape == (0, 6) and objs.shape == (0, 2)
+    assert perms.dtype == objs.dtype == np.int64
     inst = _instance(n=6)
     rng = Rng(0)
     for _ in range(3):
-        assert send_migrants([inbox], [random_solution(inst, rng) for _ in range(2)]) == 2
-    assert len(check_migrants(inbox)) == 6
-    assert check_migrants(inbox) == []
+        assert send_migrants([inbox], _random_rows(inst, 2, rng)) == 2
+    perms, objs = check_migrants(inbox, inst.n, inst.m)
+    assert perms.shape == (6, 6) and objs.shape == (6, 2)
+    assert np.array_equal(objs, evaluate_batch(inst, perms))
+    assert len(check_migrants(inbox, inst.n, inst.m)[0]) == 0
 
 
 def test_one_drain_returns_every_senders_migrants():
     inst = _instance(n=6)
     inboxes = _inboxes(3)
-    batches = {
-        sender: [random_solution(inst, Rng(sender)) for _ in range(sender)] for sender in (1, 2)
-    }
-    for sender, solutions in batches.items():
+    batches = {sender: _random_rows(inst, sender, Rng(sender)) for sender in (1, 2)}
+    for sender, rows in batches.items():
         neighbours = [q for i, q in enumerate(inboxes) if i != sender]
-        assert send_migrants(neighbours, solutions) == 2 * sender
-    received = check_migrants(inboxes[0])
-    expected = [s.objectives for sender in (1, 2) for s in batches[sender]]
-    assert sorted(s.objectives for s in received) == sorted(expected)
-    assert check_migrants(inboxes[0]) == []
+        assert send_migrants(neighbours, rows) == 2 * sender
+    perms, objs = check_migrants(inboxes[0], inst.n, inst.m)
+    # Batches come out in the order they were put.
+    assert np.array_equal(perms, np.concatenate([batches[1][0], batches[2][0]]))
+    assert np.array_equal(objs, np.concatenate([batches[1][1], batches[2][1]]))
+    assert len(check_migrants(inboxes[0], inst.n, inst.m)[0]) == 0
 
 
 def test_check_migrants_concurrent_with_sends():
     inst = _instance(n=6)
     inbox = queue.SimpleQueue()
     total = 400
-    received = []
+    received = 0
 
     def producer():
         rng = Rng(5)
         for _ in range(total):
-            send_migrants([inbox], [random_solution(inst, rng)])
+            send_migrants([inbox], _random_rows(inst, 1, rng))
 
     thread = threading.Thread(target=producer)
     thread.start()
     deadline = time.monotonic() + 20
-    while len(received) < total and time.monotonic() < deadline:
-        received.extend(check_migrants(inbox))
+    while received < total and time.monotonic() < deadline:
+        received += len(check_migrants(inbox, inst.n, inst.m)[0])
     thread.join()
-    received.extend(check_migrants(inbox))
-    assert len(received) == total
+    received += len(check_migrants(inbox, inst.n, inst.m)[0])
+    assert received == total
 
 
 def test_migrants_are_deep_copies():
     inst = _instance(n=6)
     inboxes = _inboxes(2)
-    original = random_solution(inst, Rng(7))
-    sent_objectives = original.objectives
-    send_migrants(inboxes, [original])
-    original.perm[0], original.perm[1] = original.perm[1], original.perm[0]
-    first, second = (check_migrants(q)[0] for q in inboxes)
-    assert first is not original and second is not original and first is not second
-    assert first.perm is not second.perm
+    perms, objs = rows = _random_rows(inst, 1, Rng(7))
+    sent = perms.copy(), objs.copy()
+    send_migrants(inboxes, rows)
+    perms[0, [0, 1]] = perms[0, [1, 0]]
+    objs[0] += 1
+    first, second = (check_migrants(q, inst.n, inst.m) for q in inboxes)
+    assert not np.shares_memory(first[0], second[0])
     for copy in (first, second):
-        assert copy.objectives == sent_objectives
-        assert not np.array_equal(copy.perm, original.perm)
+        assert not np.shares_memory(copy[0], perms) and not np.shares_memory(copy[1], objs)
+        assert np.array_equal(copy[0], sent[0]) and np.array_equal(copy[1], sent[1])
 
 
 def test_fleet_runs_and_merges():
     inst = _instance(n=8)
     fleet = run_fleet(inst, _config(generations=6, epoch=2, population=8), [100, 101, 102])
     assert len(fleet.islands) == 3
-    assert fleet.front
-    for sol in fleet.front:
-        assert not any(
-            dominates(other.objectives, sol.objectives) for other in fleet.front if other is not sol
-        )
+    perms, objs = fleet.front
+    assert len(perms) == len(objs) > 0
+    assert np.array_equal(objs, evaluate_batch(inst, perms))
+    front = _objectives(objs)
+    for point in front:
+        assert not any(dominates(other, point) for other in front)
     received = sum(r.stats.migrants_received for r in fleet.islands)
     sent = sum(r.stats.migrants_sent for r in fleet.islands)
     assert sent > 0 and received <= sent
@@ -514,8 +525,8 @@ def test_single_island_determinism_in_memory():
     config = _config(generations=6, ls_secs=5.0)
     a = run_island(config, inst, SEED)
     b = run_island(config, inst, SEED)
-    key = lambda r: sorted((s.objectives, tuple(s.perm.tolist())) for s in r.archive.members)  # noqa: E731
-    assert key(a) == key(b)
+    assert np.array_equal(a.archive.perms, b.archive.perms)
+    assert np.array_equal(a.archive.objs, b.archive.objs)
 
 
 def test_population_size_restored_every_generation():
@@ -549,10 +560,7 @@ def test_memetic_beats_baseline_on_paired_seeds():
         for algorithm in ("memetic", "nsga2"):
             config = _config(algorithm=algorithm, generations=15, population=12, ls_secs=0.1)
             results[algorithm] = run_island(config, inst, 1000 + seed)
-        fronts = [
-            [tuple(float(v) for v in s.objectives) for s in results[a].archive.members]
-            for a in ("memetic", "nsga2")
-        ]
+        fronts = [results[a].archive.objs.astype(float) for a in ("memetic", "nsga2")]
         hv_memetic, hv_nsga2 = _fleet_hv(None, fronts)
         if hv_memetic >= hv_nsga2 - 1e-12:
             wins += 1
@@ -570,21 +578,24 @@ def test_refilled_population_is_ranked_before_its_tournaments(algorithm, monkeyp
         generations=15,
         ls_secs=1e6,
     )
+    inst = _instance(n=4, m=3)
     checks = []
     draws = []
+    original = mqap.island._make_offspring
 
-    def checking_tournament(pool, k, fitness, rng):
-        if len(pool) == config.population:
-            checks.append(list(fitness) == rank_and_crowd(pool))
-        return tournament_select(pool, k, fitness, rng)
+    def checking_offspring(instance, perms, fitness, config, rng):
+        # The tournaments draw on these keys; they must rank this population.
+        assert len(perms) == config.population
+        checks.append(list(fitness) == rank_and_crowd(evaluate_batch(instance, perms)))
+        return original(instance, perms, fitness, config, rng)
 
-    def counting_random_solutions(instance, rng, count):
+    def counting_random_permutations(n, count, rng):
         draws.extend([1] * count)
-        return random_solutions(instance, rng, count)
+        return random_permutations(n, count, rng)
 
-    monkeypatch.setattr(mqap.island, "tournament_select", checking_tournament)
-    monkeypatch.setattr(mqap.island, "random_solutions", counting_random_solutions)
-    run_island(config, _instance(n=4, m=3), SEED)
+    monkeypatch.setattr(mqap.island, "_make_offspring", checking_offspring)
+    monkeypatch.setattr(mqap.island, "random_permutations", counting_random_permutations)
+    run_island(config, inst, SEED)
     assert len(draws) > config.population, "no refill happened"
     assert checks and all(checks)
 
@@ -596,11 +607,11 @@ def test_archive_candidates_count_every_offered_solution(n, monkeypatch):
     # so a population of 30 is refilled every generation.
     draws = []
 
-    def counting_random_solutions(instance, rng, count):
+    def counting_random_permutations(n, count, rng):
         draws.append(count)
-        return random_solutions(instance, rng, count)
+        return random_permutations(n, count, rng)
 
-    monkeypatch.setattr(mqap.island, "random_solutions", counting_random_solutions)
+    monkeypatch.setattr(mqap.island, "random_permutations", counting_random_permutations)
     config = _config(algorithm="nsga2", population=30, generations=8)
     result = run_island(config, _instance(n=n, m=3), SEED)
     refills = sum(draws) - config.population
@@ -619,25 +630,20 @@ def test_archive_evictions_match_the_eviction_log(algorithm, monkeypatch):
 def test_migrant_keys_are_rank_and_crowd_keys(monkeypatch):
     archive = Archive(capacity=10)
     archive.insert(
-        [
-            Solution(perm=np.array(perm), objectives=obj)
-            for perm, obj in [
-                ([0, 1, 2, 3], (2, 6)),
-                ([1, 0, 2, 3], (4, 4)),
-                ([2, 1, 0, 3], (2, 6)),  # equal objectives, another permutation
-                ([3, 1, 2, 0], (6, 2)),
-                ([0, 3, 2, 1], (4, 4)),
-                ([0, 2, 1, 3], (5, 3)),
-            ]
-        ]
+        [[0, 1, 2, 3], [1, 0, 2, 3], [2, 1, 0, 3], [3, 1, 2, 0], [0, 3, 2, 1], [0, 2, 1, 3]],
+        # Rows 0 and 2 share objectives with distinct permutations.
+        [(2, 6), (4, 4), (2, 6), (6, 2), (4, 4), (5, 3)],
     )
     assert len(archive) == 6
-    keys = []
+    keys, winners = [], []
 
-    def recording_tournament(pool, k, fitness, rng):
+    def recording_tournament(fitness, k, rng):
         keys.append(list(fitness))
-        return tournament_select(pool, k, fitness, rng)
+        winners.append(tournament_select(fitness, k, rng))
+        return winners[-1]
 
     monkeypatch.setattr(mqap.island, "tournament_select", recording_tournament)
-    mqap.island._select_migrants(archive, _config(migrants=2), Rng(0))
-    assert keys == [rank_and_crowd(archive.members)] * 2
+    perms, objs = mqap.island._select_migrants(archive, _config(migrants=2), Rng(0))
+    assert keys == [rank_and_crowd(archive.objs)] * 2
+    assert np.array_equal(perms, archive.perms[winners])
+    assert np.array_equal(objs, archive.objs[winners])

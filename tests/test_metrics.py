@@ -8,10 +8,11 @@ import pytest
 from scipy import stats as scipy_stats
 
 from mqap import hypervolume, normalize_fronts, reference_point, wilcoxon_rank_sum
-from mqap.metrics import DegenerateSampleError, EmptyUnionError, non_dominated
+from mqap.metrics import DegenerateSampleError, EmptyUnionError
 from mqap.runner import compare_result_sets, load_result_set
 
 from conftest import (
+    non_dominated,
     pairwise_non_dominated,
     recursive_hypervolume,
     tuple_compare_hypervolumes,

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from mqap import Solution, elitist_integration, front_crowding, pareto_ranks
+from mqap import elitist_integration, front_crowding, pareto_ranks
 from mqap.ranking import crowding_by_front, non_dominated_mask, rank_and_crowd, weakly_dominates
 
 from conftest import (
@@ -15,14 +15,6 @@ from conftest import (
 )
 
 INF = float("inf")
-
-
-def _sols(objectives):
-    out = []
-    for idx, obj in enumerate(objectives):
-        perm = np.roll(np.arange(max(4, len(objectives))), idx).astype(np.int64)
-        out.append(Solution(perm=perm, objectives=tuple(obj)))
-    return out
 
 
 def _fronts(objs):
@@ -122,6 +114,7 @@ def test_empty_population():
     assert pareto_ranks(np.empty((0, 2), dtype=np.int64)).tolist() == []
     assert front_crowding(np.empty((0, 2), dtype=np.int64)).tolist() == []
     assert rank_and_crowd([]) == []
+    assert rank_and_crowd(np.empty((0, 2), dtype=np.int64)) == []
 
 
 def test_crowding_pair_front_is_infinite():
@@ -143,7 +136,7 @@ def test_crowding_identical_objectives():
 def test_crowding_boundary_rule_random():
     rng = random.Random(31)
     objs = [tuple(rng.randrange(0, 40) for _ in range(3)) for _ in range(25)]
-    fitness = rank_and_crowd(_sols(objs))
+    fitness = rank_and_crowd(np.array(objs))
     for front in _fronts(objs):
         for r in range(3):
             lo = min(objs[i][r] for i in front)
@@ -157,7 +150,7 @@ def test_crowding_boundary_rule_random():
 def test_crowding_matches_oracle_per_front():
     rng = random.Random(77)
     objs = [tuple(rng.randrange(0, 25) for _ in range(2)) for _ in range(30)]
-    fitness = rank_and_crowd(_sols(objs))
+    fitness = rank_and_crowd(np.array(objs))
     ranks = pareto_ranks(objs)
     for front in _fronts(objs):
         expected = crowding_oracle([objs[i] for i in front])
@@ -188,43 +181,41 @@ def _bits(keys):
 
 def test_one_pass_crowding_matches_per_front_oracle():
     for objs in _objective_sets(4242):
-        sols = _sols([tuple(row) for row in objs.tolist()])
-        assert _bits(rank_and_crowd(sols)) == _bits(per_front_rank_and_crowd(sols))
+        assert _bits(rank_and_crowd(objs)) == _bits(per_front_rank_and_crowd(objs))
         single = np.zeros(len(objs), dtype=np.int64)
         assert crowding_by_front(objs, single).tobytes() == front_crowding(objs).tobytes()
 
 
 def test_fitness_key_order():
     # Lower rank wins, then higher crowding; equal keys tie.
-    fitness = rank_and_crowd(_sols([(0, 4), (1, 2), (4, 0), (5, 5), (2, 6)]))
+    fitness = rank_and_crowd(np.array([(0, 4), (1, 2), (4, 0), (5, 5), (2, 6)]))
     assert fitness == [(0, -INF), (0, -2.0), (0, -INF), (1, -INF), (1, -INF)]
     assert fitness[0] < fitness[1] < fitness[3]
     assert not fitness[0] < fitness[2] and not fitness[2] < fitness[0]
 
 
 def test_elitist_integration_keeps_residents_against_dominated_immigrants():
-    current = _sols([(0, 3), (1, 2), (3, 0)])
-    immigrants = _sols([(5, 5), (4, 6)])
-    kept, _ = elitist_integration(current, immigrants, capacity=3)
-    assert set(map(id, kept)) == set(map(id, current))
+    # Rows 0-2 are residents, rows 3-4 immigrants.
+    union = np.array([(0, 3), (1, 2), (3, 0), (5, 5), (4, 6)])
+    kept, _ = elitist_integration(union, capacity=3)
+    assert sorted(kept.tolist()) == [0, 1, 2]
 
 
 def test_elitist_integration_admits_dominating_immigrant():
-    current = _sols([(4, 4), (5, 3), (3, 5)])
-    immigrant = _sols([(0, 0)])[0]
-    kept, _ = elitist_integration(current, [immigrant], capacity=3)
-    assert immigrant in kept
+    union = np.array([(4, 4), (5, 3), (3, 5), (0, 0)])
+    kept, _ = elitist_integration(union, capacity=3)
+    assert 3 in kept.tolist()
 
 
 def test_elitist_integration_matches_sort_oracle():
     rng = random.Random(8)
-    current = _sols([tuple(rng.randrange(0, 9) for _ in range(2)) for _ in range(12)])
-    immigrants = _sols([tuple(rng.randrange(0, 9) for _ in range(2)) for _ in range(8)])
-    kept, fitness = elitist_integration(current, immigrants, capacity=10)
+    current = [tuple(rng.randrange(0, 9) for _ in range(2)) for _ in range(12)]
+    immigrants = [tuple(rng.randrange(0, 9) for _ in range(2)) for _ in range(8)]
+    kept, fitness = elitist_integration(np.array(current + immigrants), capacity=10)
 
     # Oracle: ranks from peeling, crowding per front, stable comparator sort.
     union = current + immigrants
-    objs = [s.objectives for s in union]
+    objs = union
     ranks = repeated_filter_ranks(objs)
     crowding = [0.0] * len(union)
     for depth in set(ranks):
@@ -232,21 +223,19 @@ def test_elitist_integration_matches_sort_oracle():
         for i, value in zip(front, crowding_oracle([objs[i] for i in front])):
             crowding[i] = value
     expected = sorted(range(len(union)), key=lambda i: (ranks[i], -crowding[i]))[:10]
-    assert [id(s) for s in kept] == [id(union[i]) for i in expected]
+    assert kept.tolist() == expected
     assert fitness == [(ranks[i], -crowding[i]) for i in expected]
     assert len(kept) == 10
 
 
 def test_elitist_integration_small_union_kept_whole():
-    current = _sols([(0, 1)])
-    kept, fitness = elitist_integration(current, [], capacity=10)
+    kept, fitness = elitist_integration(np.array([(0, 1)]), capacity=10)
     assert len(kept) == 1 and len(fitness) == 1
 
 
 def test_elitism_preserves_non_dominated_when_capacity_allows():
     rng = random.Random(21)
-    union = _sols([tuple(rng.randrange(0, 10) for _ in range(2)) for _ in range(20)])
-    nd = [s for s in union if not any(dominates(o.objectives, s.objectives) for o in union)]
-    kept, _ = elitist_integration(union, [], capacity=max(len(nd), 10))
-    kept_ids = set(map(id, kept))
-    assert all(id(s) in kept_ids for s in nd)
+    union = [tuple(rng.randrange(0, 10) for _ in range(2)) for _ in range(20)]
+    nd = [i for i, s in enumerate(union) if not any(dominates(o, s) for o in union)]
+    kept, _ = elitist_integration(np.array(union), capacity=max(len(nd), 10))
+    assert set(nd) <= set(kept.tolist())
