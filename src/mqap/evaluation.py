@@ -18,11 +18,13 @@ where S = d^T F + d F^T pairs location i's distances with the flows of the
 facility at j over every k, and E[i, j] = d_ii + d_jj - d_ij - d_ji times
 G[i, j] = F_ii + F_jj - F_ij - F_ji corrects the k in {i, j} terms exactly.
 
-The swap kernel runs in one dtype per instance, ``Instance.swap_operands``:
-float32 when every value it forms stays below 2^24 in magnitude, float64
-below 2^53, int64 otherwise.  Each holds every integer up to its limit, so
-the deltas are exact integers in all three.  ``evaluate_batch`` always uses
-an int64 product.
+Both kernels run in one dtype per instance, picked by
+``instance.exact_dtype``: float32 when every value the kernel forms stays
+below 2^24 in magnitude, float64 below 2^53, int64 otherwise.  Each holds
+every integer up to its limit, so costs and deltas are exact integers in
+all three.  ``evaluate_batch`` bounds its values by n^2 * max_d * max_f
+(``Instance.flow_columns``), the swap kernel by 4(n+1) * max_d * max_f
+(``Instance.swap_operands``).
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class Rows(NamedTuple):
         return Rows(np.concatenate(perms), np.concatenate(objs))
 
 
-# Rows of d gathered per block of the batch product: about 18 at n = 30.
+# Bytes of the int64 gather index per block of the batch product, the
+# larger of the block's two buffers: about 18 rows at n = 30.
 _GATHER_BYTES = 128 * 1024
 
 
@@ -61,9 +64,10 @@ def evaluate_batch(instance: Instance, perms) -> np.ndarray:
     """Objectives of every row of a (P, n) permutation array, shape (P, m) int64.
 
     Each row's inverse gathers the distances facility by facility, and one
-    int64 product with ``Instance.flow_columns`` sums all m costs.  Every
-    partial sum is a non-negative part of one cost, which
-    ``Instance.__post_init__`` keeps below 2^62, so the product is exact.
+    product with ``Instance.flow_columns`` sums all m costs.  Gather and
+    product run in the instance's evaluation dtype, where every partial
+    sum, a non-negative part of one cost, is exact, so the cast to int64
+    is exact too.
     """
     n = instance.n
     if len(perms) == 0:
@@ -73,11 +77,13 @@ def evaluate_batch(instance: Instance, perms) -> np.ndarray:
         raise DimensionMismatchError(
             f"permutation length {perms.shape[1:]} does not match n={n}"
         )
+    # An entry outside 0..n-1 would wrap around or overrun the inverse.
     inv = np.full_like(perms, -1)
-    np.put_along_axis(inv, perms, np.arange(n), axis=1)
+    if perms.min() >= 0 and perms.max() < n:
+        np.put_along_axis(inv, perms, np.arange(n), axis=1)
     if inv.min() < 0:
         raise ValueError(f"rows must be permutations of 0..{n - 1}")
-    flat_d = instance.distances.ravel()
+    flat_d = instance.flat_distances
     flows = instance.flow_columns
     out = np.empty((len(perms), instance.m), dtype=np.int64)
     rows = max(1, _GATHER_BYTES // (8 * n * n))

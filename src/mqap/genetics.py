@@ -20,26 +20,25 @@ def random_permutations(n: int, count: int, rng: Rng) -> np.ndarray:
     return np.array(perms, dtype=np.int64).reshape(count, n)
 
 
-def cycle_crossover(p1: np.ndarray, p2: np.ndarray):
-    """Cycle crossover producing two children.
+def cycle_crossover(p1: list[int], p2: list[int]) -> tuple[list[int], list[int]]:
+    """Cycle crossover producing two children, as new lists.
 
     Positions are partitioned into cycles (closed position loops traced by
     matching values across the two parents).  Cycles are copied alternately:
     the cycle containing position 0 goes parent1 -> child1, the next
     unassigned cycle parent2 -> child1, and so on, so every child position
-    keeps the value one parent held there.
+    keeps the value one parent held there.  The parents are lists: the walk
+    indexes them element by element, where numpy scalar reads cost far more
+    at this size.
     """
-    # The walk indexes Python lists: numpy scalar reads cost far more at this size.
-    a = np.asarray(p1, dtype=np.int64).tolist()
-    b = np.asarray(p2, dtype=np.int64).tolist()
-    if len(a) != len(b):
+    if len(p1) != len(p2):
         raise ValueError("parents must have equal length")
-    n = len(a)
-    pos_in_a = [0] * n
-    for pos, value in enumerate(a):
-        pos_in_a[value] = pos
+    n = len(p1)
+    pos_in_p1 = [0] * n
+    for pos, value in enumerate(p1):
+        pos_in_p1[value] = pos
 
-    c1, c2 = a[:], b[:]
+    c1, c2 = list(p1), list(p2)
     assigned = [False] * n
     from_p1 = True
     for start in range(n):
@@ -49,13 +48,13 @@ def cycle_crossover(p1: np.ndarray, p2: np.ndarray):
         while not assigned[pos]:
             assigned[pos] = True
             if not from_p1:
-                c1[pos], c2[pos] = b[pos], a[pos]
-            pos = pos_in_a[b[pos]]
+                c1[pos], c2[pos] = p2[pos], p1[pos]
+            pos = pos_in_p1[p2[pos]]
         from_p1 = not from_p1
-    return np.array(c1, dtype=np.int64), np.array(c2, dtype=np.int64)
+    return c1, c2
 
 
-def random_swap(perm: np.ndarray, rng: Rng) -> np.ndarray:
+def random_swap(perm: list[int], rng: Rng) -> list[int]:
     """Copy of ``perm`` with two distinct random positions exchanged."""
     n = len(perm)
     i = rng.randrange(n)
@@ -67,7 +66,7 @@ def random_swap(perm: np.ndarray, rng: Rng) -> np.ndarray:
     return out
 
 
-def swap_mutation(perm: np.ndarray, pb_m: float, rng: Rng) -> np.ndarray:
+def swap_mutation(perm: list[int], pb_m: float, rng: Rng) -> list[int]:
     """With probability pb_m exchange two distinct random positions."""
     if rng.random() >= pb_m or len(perm) < 2:
         return perm

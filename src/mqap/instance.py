@@ -21,6 +21,18 @@ _FLOAT32_EXACT = 2**24
 _FLOAT64_EXACT = 2**53
 
 
+def exact_dtype(bound: int) -> type:
+    """The narrowest of float32, float64 and int64 that holds every integer up to ``bound``.
+
+    A kernel whose every value, partial sums of its products included, is
+    an integer of magnitude at most ``bound`` is exact in this dtype,
+    whatever order BLAS sums in.
+    """
+    if bound < _FLOAT32_EXACT:
+        return np.float32
+    return np.float64 if bound < _FLOAT64_EXACT else np.int64
+
+
 class SwapOperands(NamedTuple):
     """The operands of ``evaluation.swap_delta_matrix`` that depend only on the instance.
 
@@ -66,8 +78,10 @@ class Instance:
     flows: tuple[np.ndarray, ...]
     name: str = ""
     metadata: dict[str, str] = field(default_factory=dict)
-    # (n^2, m) int64: column r is flow matrix r flattened, for ``evaluate_batch``.
+    # The operands of ``evaluate_batch``, in its dtype: (n^2, m) with column r
+    # flow matrix r flattened, and the (n^2,) flattened distance matrix.
     flow_columns: np.ndarray = field(init=False, repr=False)
+    flat_distances: np.ndarray = field(init=False, repr=False)
     # The operands of ``swap_delta_matrix`` that depend only on the instance.
     swap_operands: SwapOperands = field(init=False, repr=False)
 
@@ -87,22 +101,23 @@ class Instance:
                 raise NegativeEntryError("matrix entries must be non-negative")
         max_d = int(self.distances.max())
         max_f = max(int(f.max()) for f in self.flows)
-        if self.n * self.n * max_d * max_f >= _INT64_SAFE:
+        # Every partial sum of a cost is a non-negative integer no larger
+        # than n^2 * max_d * max_f, and so is every product of a distance
+        # and a flow.
+        cost_bound = self.n * self.n * max_d * max_f
+        if cost_bound >= _INT64_SAFE:
             raise InstanceFormatError(
                 "entry magnitudes too large for exact 64-bit objectives"
             )
         # Every value the swap kernel forms is an integer of magnitude at most
         # 4(n+1) * max_d * max_f (its final W + W^T), and every partial sum of
-        # its product is a non-negative integer no larger than the total.  A
-        # float dtype that holds every integer up to that bound is therefore
-        # exact whatever order BLAS sums in.
-        bound = 4 * (self.n + 1) * max_d * max_f
-        kernel = np.int64
-        if bound < _FLOAT64_EXACT:
-            kernel = np.float32 if bound < _FLOAT32_EXACT else np.float64
+        # its product is a non-negative integer no larger than the total.
+        kernel = exact_dtype(4 * (self.n + 1) * max_d * max_f)
+        evaluation = exact_dtype(cost_bound)
         flows = np.stack(self.flows)
         d, dd = self.distances, np.diagonal(self.distances)
-        self.flow_columns = flows.reshape(self.m, self.n * self.n).T.copy()
+        self.flow_columns = flows.reshape(self.m, self.n * self.n).T.astype(evaluation, order="C")
+        self.flat_distances = d.ravel().astype(evaluation)
         self.swap_operands = SwapOperands(
             flows=flows.astype(kernel),
             d_cat=np.concatenate((d.T, d), axis=1, dtype=kernel),

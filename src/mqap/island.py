@@ -153,8 +153,10 @@ def _make_offspring(
     saturates with copies at small instance sizes and recombination stalls.
     The kept children are evaluated together in one batch.
     """
-    children: list[np.ndarray] = []
-    seen: set[bytes] = set()
+    # Breeding walks Python lists; the kept children become one array.
+    rows = perms.tolist()
+    children: list[list[int]] = []
+    seen: set[tuple[int, ...]] = set()
     attempts = 0
     max_attempts = 3 * config.population
     while len(children) < config.population:
@@ -166,21 +168,21 @@ def _make_offspring(
                 break
             p2 = tournament_select(fitness, config.tournament_k, rng)
         if rng.random() < config.pb_c:
-            c1, c2 = cycle_crossover(perms[p1], perms[p2])
+            c1, c2 = cycle_crossover(rows[p1], rows[p2])
         else:
-            c1, c2 = perms[p1].copy(), perms[p2].copy()
-        parent_keys = (perms[p1].tobytes(), perms[p2].tobytes())
+            c1, c2 = rows[p1], rows[p2]  # never mutated: a swap copies
+        parent_keys = (tuple(rows[p1]), tuple(rows[p2]))
         for child in (c1, c2):
             child = swap_mutation(child, config.pb_m, rng)
-            key = child.tobytes()
+            key = tuple(child)
             if key in parent_keys:
                 child = random_swap(child, rng)
-                key = child.tobytes()
+                key = tuple(child)
             if key in seen and attempts < max_attempts:
                 continue
             seen.add(key)
             children.append(child)
-    return evaluate(instance, children[: config.population])
+    return evaluate(instance, np.array(children[: config.population], dtype=np.int64))
 
 
 def _first_occurrences(rows: Rows) -> Rows:

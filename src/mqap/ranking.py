@@ -31,22 +31,28 @@ def weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return weak
 
 
-def pareto_ranks(objs: np.ndarray) -> np.ndarray:
+def pareto_ranks(objs: np.ndarray, limit: int | None = None) -> np.ndarray:
     """Front index of every row of an (N, m) objective array, 0 = non-dominated.
 
     ``dominated[i, j]`` holds when row i dominates row j; fronts are peeled
-    by removing the rows that nothing remaining dominates.
+    by removing the rows that nothing remaining dominates.  With a
+    ``limit``, peeling stops once at least ``limit`` rows are ranked, and
+    every row left gets the next front index.
     """
     weak = weakly_dominates(objs, objs)
     dominated = weak & ~weak.T
     dominator_count = dominated.sum(axis=0)
-    ranks = np.full(len(dominated), -1, dtype=np.int64)
-    rank = 0
-    while (ranks < 0).any():
+    size = len(dominated)
+    stop = size if limit is None else min(limit, size)
+    ranks = np.full(size, -1, dtype=np.int64)
+    rank = ranked = 0
+    while ranked < stop:
         front = (ranks < 0) & (dominator_count == 0)
         ranks[front] = rank
+        ranked += np.count_nonzero(front)
         dominator_count -= dominated[front].sum(axis=0)
         rank += 1
+    ranks[ranks < 0] = rank
     return ranks
 
 
@@ -139,11 +145,15 @@ def crowding_by_front(objs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return crowding
 
 
-def rank_and_crowd(objs) -> list[Fitness]:
-    """One ``(rank, -crowding)`` fitness key per row of an (N, m) array; smaller is better."""
+def rank_and_crowd(objs, limit: int | None = None) -> list[Fitness]:
+    """One ``(rank, -crowding)`` fitness key per row of an (N, m) array; smaller is better.
+
+    ``limit`` bounds the peeling as in ``pareto_ranks``: the keys of the
+    fronts ranked are exact, and every row left shares the worst rank.
+    """
     if not len(objs):
         return []
-    ranks = pareto_ranks(objs)
+    ranks = pareto_ranks(objs, limit)
     return list(zip(ranks.tolist(), (-crowding_by_front(objs, ranks)).tolist()))
 
 
@@ -153,9 +163,11 @@ def elitist_integration(objs, capacity: int) -> tuple[np.ndarray, list[Fitness]]
     Fitness is ranked on all rows and the sort is stable, so earlier rows
     (residents) precede later ones (immigrants) on exact ties.  Returns the
     kept row indices, best first, with their fitness keys from that ranking.
+    Only the fronts that fill ``capacity`` are peeled: the rows left rank
+    behind them all, so they are never kept.
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    fitness = rank_and_crowd(objs)
+    fitness = rank_and_crowd(objs, limit=capacity)
     kept = sorted(range(len(fitness)), key=fitness.__getitem__)[:capacity]
     return np.array(kept, dtype=np.int64), [fitness[i] for i in kept]

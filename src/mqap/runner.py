@@ -261,6 +261,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "mqap_version": __version__,
         "numpy_version": np.__version__,
         "swap_kernel_dtype": instance.swap_operands.dtype.name,
+        "evaluation_dtype": instance.flow_columns.dtype.name,
         **asdict(config),
         "trial_records": [asdict(rec) for rec in result.trials],
     }

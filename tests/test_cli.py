@@ -355,6 +355,8 @@ def test_manifest_holds_every_resolved_setting(tmp_path):
     assert manifest["numpy_version"] == np.__version__
     # Entries up to 100 at n=6: 4(n+1) * 100 * 100 is far below 2^24.
     assert manifest["swap_kernel_dtype"] == "float32"
+    # n^2 * 100 * 100 bounds every cost sum, also far below 2^24.
+    assert manifest["evaluation_dtype"] == "float32"
     stats = manifest["trial_records"][0]["islands"]
     assert [st["island_id"] for st in stats] == [0, 1]
 

@@ -80,6 +80,52 @@ def test_batch_rejects_wrong_length_and_non_permutations():
         evaluate_batch(inst, [[0, 1]])
     with pytest.raises(ValueError, match="permutations"):
         evaluate_batch(inst, [[0, 1, 2], [0, 0, 2]])
+    # A negative entry would wrap around to [2, 1, 0]; 3 would overrun the inverse.
+    for bad in ([[-1, 1, 0]], [[0, 1, 3]]):
+        with pytest.raises(ValueError, match="permutations"):
+            evaluate_batch(inst, bad)
+
+
+# With n = 6 every cost sum is bounded by 36 * max_d * max_f; these tops put
+# that bound just below 2^24 and 2^53, and top + 1 just above.
+_COST_TOP_24 = math.isqrt((2**24 - 1) // 36)
+_COST_TOP_53 = math.isqrt((2**53 - 1) // 36)
+
+
+@pytest.mark.parametrize(
+    "low, top, dtype, rounds_in",
+    [
+        (_COST_TOP_24 - 200, _COST_TOP_24, np.float32, None),
+        (_COST_TOP_24 - 200, _COST_TOP_24 + 1, np.float64, None),
+        # Costs reach ~2^28, where float32 holds only multiples of 16.
+        (2**11, 2**12, np.float64, np.float32),
+        (_COST_TOP_53 - 2**20, _COST_TOP_53, np.float64, None),
+        (_COST_TOP_53 - 2**20, _COST_TOP_53 + 1, np.int64, None),
+        # Costs reach ~2^60 while the load guard (n^2*max_d*max_f < 2^62)
+        # still accepts the instance: float64 would round here.
+        (2**27, 2**28 - 1, np.int64, np.float64),
+    ],
+    ids=["float32-below-2^24", "float64-above-2^24", "float64-float32-would-round",
+         "float64-below-2^53", "int64-above-2^53", "int64-float64-would-round"],
+)
+def test_batch_exact_at_each_dtype_limit(np_rng, low, top, dtype, rounds_in):
+    assert 36 * _COST_TOP_24**2 < 2**24 <= 36 * (_COST_TOP_24 + 1) ** 2
+    assert 36 * _COST_TOP_53**2 < 2**53 <= 36 * (_COST_TOP_53 + 1) ** 2
+    n = 6
+
+    def matrix():
+        mat = np_rng.integers(low, top + 1, (n, n))
+        mat[0, 0] = top
+        return mat
+
+    inst = Instance(n=n, distances=matrix(), flows=(matrix(), matrix()))
+    assert inst.flow_columns.dtype == inst.flat_distances.dtype == dtype
+    perms = list(itertools.permutations(range(n)))
+    objs = evaluate_batch(inst, perms)
+    expected = [list(naive_objectives(inst, p)) for p in perms]
+    assert objs.dtype == np.int64 and objs.tolist() == expected
+    if rounds_in is not None:
+        assert any(int(rounds_in(c)) != c for row in expected for c in row)
 
 
 def test_random_solutions_draw_like_repeated_single_draws():

@@ -228,6 +228,26 @@ def test_elitist_integration_matches_sort_oracle():
     assert len(kept) == 10
 
 
+def test_bounded_peeling_matches_unbounded_ranking():
+    rng = np.random.default_rng(1417)
+    for case in range(300):
+        size, m = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+        objs = rng.integers(0, int(rng.choice([3, 10, 1000])), (size, m))
+        if case % 2:
+            objs = objs[rng.integers(0, size, size)]  # repeated rows
+        full = pareto_ranks(objs)
+        keys = rank_and_crowd(objs)
+        for limit in (1, 2, int(rng.integers(1, size + 1)), size, size + 5):
+            # The first ``cut`` fronts hold at least ``limit`` rows (or all);
+            # they keep their index, and every row behind them gets ``cut``.
+            cut = next(c for c in range(size + 1) if (full < c).sum() >= min(limit, size))
+            assert np.array_equal(pareto_ranks(objs, limit), np.minimum(full, cut)), (case, limit)
+            kept, fitness = elitist_integration(objs, limit)
+            expected = sorted(range(size), key=keys.__getitem__)[:limit]
+            assert kept.tolist() == expected, (case, limit)
+            assert _bits(fitness) == _bits([keys[i] for i in expected])
+
+
 def test_elitist_integration_small_union_kept_whole():
     kept, fitness = elitist_integration(np.array([(0, 1)]), capacity=10)
     assert len(kept) == 1 and len(fitness) == 1
