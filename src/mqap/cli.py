@@ -52,8 +52,10 @@ RUN_OPTIONS = {
 }
 
 
-# --gen-spec key -> value type; the keys are InstanceSpec's fields.
+# --gen-spec key and `mqap gen` flag -> value type; the keys are InstanceSpec's
+# fields, and InstanceSpec defaults every one but the required ones.
 GEN_SPEC_KEYS = {"n": int, "m": int, "correlation": float, "seed": int, "max_value": int}
+GEN_SPEC_REQUIRED = ("n", "m")
 
 
 class ConfigError(ValueError):
@@ -87,7 +89,7 @@ def parse_gen_spec(text: str) -> InstanceSpec:
                 f"generator spec {text!r} has unknown key {key!r}; allowed: {', '.join(GEN_SPEC_KEYS)}"
             )
         fields[key] = value
-    missing = [key for key in ("n", "m") if key not in fields]
+    missing = [key for key in GEN_SPEC_REQUIRED if key not in fields]
     if missing:
         raise ValueError(f"generator spec {text!r} lacks {', '.join(missing)}")
     try:
@@ -120,11 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     enum_p.add_argument("--out", help="front file to write (default: stdout)")
 
     gen_p = sub.add_parser("gen", help="generate a uniform instance file")
-    gen_p.add_argument("--n", type=int, required=True)
-    gen_p.add_argument("--m", type=int, required=True)
-    gen_p.add_argument("--correlation", type=float, default=0.0)
-    gen_p.add_argument("--seed", type=int, default=0)
-    gen_p.add_argument("--max-value", type=int, default=100)
+    for key, kind in GEN_SPEC_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        gen_p.add_argument(flag, type=kind, required=key in GEN_SPEC_REQUIRED)
     gen_p.add_argument("--out", required=True)
 
     hv_p = sub.add_parser("hv", help="hypervolume of one front file")
@@ -202,16 +202,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    fields = {key: value for key in GEN_SPEC_KEYS if (value := getattr(args, key)) is not None}
     try:
-        instance = generate_uniform(
-            InstanceSpec(
-                n=args.n,
-                m=args.m,
-                correlation=args.correlation,
-                seed=args.seed,
-                max_value=args.max_value,
-            )
-        )
+        instance = generate_uniform(InstanceSpec(**fields))
     except ValueError as exc:
         raise ConfigError(f"invalid generator spec: {exc}") from exc
     save_instance(instance, args.out)

@@ -260,7 +260,8 @@ def run_island(
                 archive, config.ls_secs, instance, rng, extra=offspring.take(~kept)
             )
             pool = _first_occurrences(improved)
-            archive.insert(*pool)
+            # The pool starts with the archive's own members: offer only the rows after them.
+            archive.insert(*pool.take(slice(len(archive), None)))
         else:
             pool = _first_occurrences(Rows.concat(population, offspring))
 

@@ -1,8 +1,8 @@
 """Pareto ranking machinery: dominance tests, dominance depth, crowding, and survival.
 
 Every dominance test in the package lives here: ``weakly_dominates`` for
-ranking, the archive's inserts and enumeration's sweep,
-``non_dominated_mask`` for the fleet merge and compare's pooled front.
+ranking and the archive's inserts, ``non_dominated_mask`` for enumeration,
+the fleet merge and compare's pooled front.
 
 Everything here works on (N, m) objective arrays, one row per solution.
 Fitness is the dominance depth (front index) of a row; diversity is the
@@ -60,30 +60,39 @@ def non_dominated_mask(objs: np.ndarray) -> np.ndarray:
     """True for every row of an (N, m) array that no other row dominates.
 
     Equal rows never dominate each other, so every copy of a surviving row
-    survives.  After one stable lexicographic sort, every row that dominates
-    a row lies in an earlier run of equal rows, so a row is dominated
-    exactly when a row of an earlier run is <= it in every objective.
-    Candidates go in column blocks so each mask stays near ``_MASK_CELLS``.
+    survives.  After one lexicographic sort, every row that dominates a row
+    lies in an earlier run of equal rows, and by transitivity a dominated
+    row is dominated by a non-dominated one.  So the rows are peeled in
+    sorted order: of the first ``step`` rows still left, those that no
+    earlier-run row among them dominates are kept, and they sweep out every
+    later row they dominate.  No sums are formed, and with ``step`` rows per
+    block each mask stays within ``_MASK_CELLS``.
     """
     objs = np.asarray(objs)
     size = len(objs)
     if size == 0:
         return np.ones(0, dtype=bool)
-    order = np.lexsort(objs.T[::-1])
+    # Lexicographic order, last column first: only the later passes need a stable sort.
+    order = np.argsort(objs[:, -1])
+    for col in objs.T[-2::-1]:
+        order = order[np.argsort(col[order], kind="stable")]
     objs = objs[order]
     # run_start[i]: the sorted index of the first row equal to sorted row i.
     repeat = np.append(False, (objs[1:] == objs[:-1]).all(axis=1))
     run_start = np.maximum.accumulate(np.where(repeat, 0, np.arange(size)))
-    beaten = np.zeros(size, dtype=bool)
+    kept = np.zeros(size, dtype=bool)
+    left = np.arange(size)  # sorted indices neither kept nor swept out
     step = max(1, _MASK_CELLS // size)
-    for lo in range(0, size, step):
-        hi = min(lo + step, size)
-        rows = run_start[hi - 1]  # only rows of earlier runs can dominate
-        below = weakly_dominates(objs[:rows], objs[lo:hi])
-        below &= np.arange(rows)[:, None] < run_start[lo:hi]
-        beaten[lo:hi] = below.any(axis=0)
+    while len(left):
+        block, left = left[:step], left[step:]
+        rows = objs[block]
+        beaten = weakly_dominates(rows, rows) & (block[:, None] < run_start[block])
+        block = block[~beaten.any(axis=0)]
+        kept[block] = True
+        swept = weakly_dominates(objs[block], objs[left]) & (block[:, None] < run_start[left])
+        left = left[~swept.any(axis=0)]
     keep = np.empty(size, dtype=bool)
-    keep[order] = ~beaten
+    keep[order] = kept
     return keep
 
 

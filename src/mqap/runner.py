@@ -17,14 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics
-from .evaluation import Rows, evaluate_batch
+from .evaluation import Rows, evaluate
 from .instance import Instance, InstanceFormatError, InstanceSpec, generate_uniform, load_instance
 from .island import IslandConfig, IslandError, IslandStats, run_fleet
-from .ranking import non_dominated_mask, weakly_dominates
+from .ranking import non_dominated_mask
 
 MANIFEST_NAME = "manifest.json"
 REFERENCE_OFFSET = 0.01
 ENUMERATION_LIMIT = 10
+ENUMERATION_CHUNK = 20000  # permutations evaluated per batch
 
 
 class InstanceLoadError(ValueError):
@@ -50,7 +51,7 @@ class TrialWorkerError(RuntimeError):
 def load_instance_checked(path) -> Instance:
     try:
         return load_instance(path)
-    except (OSError, InstanceFormatError) as exc:
+    except (OSError, InstanceFormatError, UnicodeDecodeError) as exc:
         raise InstanceLoadError(f"cannot load {path}: {exc}") from exc
 
 
@@ -274,47 +275,20 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     return result
 
 
-def _nd_compress(objs: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop rows whose objective vector is strictly dominated (ties kept).
-
-    In objective-sum order every dominating row comes first, and each kept
-    row sweeps out the later rows it weakly dominates, except equal ones:
-    those with the same sum.
-    """
-    sums = objs.sum(axis=1)
-    order = np.argsort(sums, kind="stable")
-    objs, perms, sums = objs[order], perms[order], sums[order]
-    i = 0
-    while i < objs.shape[0]:
-        keep = np.ones(objs.shape[0], dtype=bool)
-        keep[i + 1 :] = ~weakly_dominates(objs[i : i + 1], objs[i + 1 :])[0]
-        keep[i + 1 :] |= sums[i + 1 :] == sums[i]
-        objs, perms, sums = objs[keep], perms[keep], sums[keep]
-        i += 1
-    return objs, perms
-
-
-def enumerate_front(
-    instance: Instance, limit: int = ENUMERATION_LIMIT, chunk: int = 20000
-) -> Rows:
-    """Exact non-dominated set by full permutation enumeration (n <= limit)."""
-    if instance.n > limit:
+def enumerate_front(instance: Instance) -> Rows:
+    """Exact non-dominated set by full permutation enumeration (n <= ENUMERATION_LIMIT)."""
+    if instance.n > ENUMERATION_LIMIT:
         raise TooLargeError(
-            f"enumeration of n={instance.n} exceeds the n<={limit} guard"
+            f"enumeration of n={instance.n} exceeds the n<={ENUMERATION_LIMIT} guard"
         )
-    best_objs = np.empty((0, instance.m), dtype=np.int64)
-    best_perms = np.empty((0, instance.n), dtype=np.int64)
+    front = Rows(
+        np.empty((0, instance.n), dtype=np.int64), np.empty((0, instance.m), dtype=np.int64)
+    )
     perm_iter = itertools.permutations(range(instance.n))
-    while True:
-        batch = list(itertools.islice(perm_iter, chunk))
-        if not batch:
-            break
-        perms = np.array(batch, dtype=np.int64)
-        objs, perms = _nd_compress(evaluate_batch(instance, perms), perms)
-        best_objs = np.concatenate([best_objs, objs])
-        best_perms = np.concatenate([best_perms, perms])
-        best_objs, best_perms = _nd_compress(best_objs, best_perms)
-    return Rows(best_perms, best_objs)
+    while batch := list(itertools.islice(perm_iter, ENUMERATION_CHUNK)):
+        pool = Rows.concat(front, evaluate(instance, batch))
+        front = pool.take(non_dominated_mask(pool.objs))
+    return front
 
 
 @dataclass
@@ -359,6 +333,8 @@ def load_result_set(directory) -> ResultSet:
         front_paths = [path / rec["front_file"] for rec in records]
     except (ValueError, KeyError, TypeError) as exc:
         raise InstanceLoadError(f"{manifest_path} is not a valid result manifest: {exc!r}") from exc
+    if not front_paths:
+        raise InstanceLoadError(f"{manifest_path} lists no trial records")
     for front_path in front_paths:
         try:
             _, _, objectives = read_front_file(front_path)

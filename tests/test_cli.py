@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mqap
-from mqap import evaluate_batch, load_instance
+from mqap import Instance, evaluate_batch, load_instance
 from mqap.cli import build_parser, main, parse_config_file, parse_gen_spec
 from mqap.runner import (
     ExperimentConfig,
@@ -182,17 +182,32 @@ def test_enumerate_guard():
         enumerate_front(big)
 
 
+# n=2, m=4 with entries near 2^30: every cost fits in int64, but the sum of
+# the four costs of assignment 1 0 does not, and its exact front is row 0 1.
+WRAP_AROUND = Instance(
+    n=2,
+    distances=[[775551898, 773194713], [823744496, 638135772]],
+    flows=(
+        [[803437962, 611596352], [725760348, 956663153]],
+        [[575789219, 1060835418], [670835199, 642130130]],
+        [[686021893, 760258456], [940154632, 951118317]],
+        [[822784119, 583955701], [610098798, 833141700]],
+    ),
+)
+
+
 def test_enumerate_front_matches_brute_force(np_rng):
     from conftest import random_instance
     import itertools
 
-    inst = random_instance(np_rng, 5, 2)
-    perms, objs = enumerate_front(inst)
-    assert perms.dtype == objs.dtype == np.int64
-    assert np.array_equal(objs, evaluate_batch(inst, perms))
-    all_objs = evaluate_batch(inst, list(itertools.permutations(range(5))))
-    expected = brute_force_non_dominated([tuple(o) for o in all_objs.tolist()])
-    assert {tuple(o) for o in objs.tolist()} == expected
+    for inst in (random_instance(np_rng, 5, 2), WRAP_AROUND):
+        perms, objs = enumerate_front(inst)
+        assert perms.dtype == objs.dtype == np.int64
+        assert np.array_equal(objs, evaluate_batch(inst, perms))
+        all_objs = evaluate_batch(inst, list(itertools.permutations(range(inst.n))))
+        expected = brute_force_non_dominated([tuple(o) for o in all_objs.tolist()])
+        assert {tuple(o) for o in objs.tolist()} == expected
+    assert enumerate_front(WRAP_AROUND).perms.tolist() == [[0, 1]]
 
 
 def test_hv_command(tmp_path, capsys):
@@ -220,7 +235,13 @@ def _write_bad_inputs(directory):
         text = f"! instance=demo\n0 1 | 3 4\n{row}\n"
         (directory / f"{name}.front").write_text(text, encoding="utf-8")
     (directory / "huge.qap").write_text("2\n0 1\n1 0\n0 3\n2 99999999999999999999\n", encoding="utf-8")
-    for name, manifest in (("not-json", "{trial_records"), ("no-records", '{"instance": "x"}')):
+    (directory / "latin1.qap").write_bytes("! name=café\n2\n0 1\n1 0\n0 3\n2 0\n".encode("latin-1"))
+    for name, manifest in (
+        ("not-json", "{trial_records"),
+        ("no-records", '{"instance": "x"}'),
+        ("empty-records",
+         '{"instance": "demo", "algorithm": "memetic", "islands": 1, "trial_records": []}'),
+    ):
         (directory / name).mkdir()
         (directory / name / "manifest.json").write_text(manifest, encoding="utf-8")
     # One-trial result directories: a valid one, one whose front holds no points, and two
@@ -257,6 +278,8 @@ BAD_INPUTS = [
     ("spec-max-value-beyond-int64",
      ["run", "--gen-spec", "n=5,m=2,max_value=100000000000000000000"], "max_value"),
     ("instance-entry-beyond-int64", ["run", "--instance", "huge.qap"], "99999999999999999999"),
+    ("instance-not-utf8", ["run", "--instance", "latin1.qap"], "latin1.qap"),
+    ("enumerate-instance-not-utf8", ["enumerate", "--instance", "latin1.qap"], "latin1.qap"),
     ("migrants-over-capacity",
      ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500], None),
     ("tournament-k-0", ["run", "--gen-spec", "n=6,m=2", "--tournament-k", 0], None),
@@ -296,6 +319,8 @@ BAD_INPUTS = [
     ("hv-permutation-beyond-int64", ["hv", "--front", "huge-perm.front"], "line 3"),
     ("compare-manifest-not-json", ["compare", "not-json", "not-json"], None),
     ("compare-manifest-without-records", ["compare", "no-records", "no-records"], None),
+    ("compare-manifest-with-empty-records",
+     ["compare", "empty-records", "one-trial"], "empty-records/manifest.json"),
     ("compare-alpha-2", ["compare", "one-trial", "one-trial", "--alpha", 2], "--alpha"),
     ("compare-alpha-1", ["compare", "one-trial", "one-trial", "--alpha", 1], "--alpha"),
     ("compare-alpha-0", ["compare", "one-trial", "one-trial", "--alpha", 0], "--alpha"),

@@ -619,6 +619,30 @@ def test_archive_candidates_count_every_offered_solution(n, monkeypatch):
     assert result.stats.archive_candidates == config.population * (config.generations + 1) + refills
 
 
+def test_memetic_island_does_not_offer_the_archive_its_own_members(monkeypatch):
+    # The local search's working set starts with the archive's members; the
+    # insert that follows the search must offer only the rows after them.
+    overlaps = []
+    search = mqap.island.dominance_based_local_search
+
+    def recording_search(archive, *args, **kwargs):
+        members = {perm.tobytes() for perm in archive.perms}
+        insert = archive.insert
+
+        def first_insert(perms, objs):
+            del archive.insert  # back to the class method
+            overlaps.append(len(members & {perm.tobytes() for perm in perms}))
+            return insert(perms, objs)
+
+        archive.insert = first_insert
+        return search(archive, *args, **kwargs)
+
+    monkeypatch.setattr(mqap.island, "dominance_based_local_search", recording_search)
+    config = _config(algorithm="memetic", generations=5, ls_secs=1e6)
+    run_island(config, _instance(), SEED)
+    assert overlaps == [0] * config.generations
+
+
 @pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
 def test_archive_evictions_match_the_eviction_log(algorithm, monkeypatch):
     monkeypatch.setattr(mqap.island, "Archive", functools.partial(Archive, track_evictions=True))
