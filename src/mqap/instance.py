@@ -160,8 +160,9 @@ class InstanceSpec:
 def parse_instance(source: str | IO[str]) -> Instance:
     """Parse whitespace-delimited instance text.
 
-    Any line whose first non-blank character is not a digit is treated as a
-    comment; comments of the form ``! key=value`` are collected as metadata.
+    A line is data when its first token starts with a digit, or with one
+    sign followed by a digit; any other line is a comment, and comments of
+    the form ``! key=value`` are collected as metadata.
     The first number is n, followed by the n*n distance matrix and one or
     more n*n flow matrices (m is inferred from the remaining token count).
     """
@@ -172,7 +173,8 @@ def parse_instance(source: str | IO[str]) -> Instance:
         stripped = line.strip()
         if not stripped:
             continue
-        if not stripped[0].isdigit():
+        unsigned = stripped[1:] if stripped[0] in "+-" else stripped
+        if not unsigned[:1].isdigit():
             if stripped.startswith("!") and "=" in stripped:
                 key, _, value = stripped[1:].strip().partition("=")
                 metadata[key.strip()] = value.strip()

@@ -6,6 +6,10 @@ Hypervolume is exact: a sort and running minimum for 2 objectives, the
 3-D dimension sweep of Beume, Fonseca, Lopez-Ibanez, Paquete & Vahrenhold
 (IEEE TEC 13(5), 2009) for 3, and slicing along the last objective down
 to that sweep for 4 or more (Fonseca, Paquete & Lopez-Ibanez, CEC 2006).
+The points are sorted once, by the last objective.  Each slicing level
+keeps the points below its slab in the order the level beneath sweeps
+them, inserting each after its equal keys, so no slab sorts again and the
+float operations run in the order per-slab stable sorts would give.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -77,8 +82,9 @@ def hypervolume(front, ref: Point) -> float:
         return ref[0] - float(inside.min())
     if m == 2:
         return _hv2(inside, ref)
-    # The sweeps run on Python floats: the same float64 values, cheaper one at a time.
-    return _hv_sliced(inside.tolist(), ref)
+    # The sweeps run on Python floats: the same float64 values, cheaper one
+    # at a time.  They take the points in one stable sort by the last coordinate.
+    return _hv_sliced(sorted(inside.tolist(), key=itemgetter(-1)), ref)
 
 
 def _hv2(points: np.ndarray, ref: Point) -> float:
@@ -95,22 +101,23 @@ def _hv2(points: np.ndarray, ref: Point) -> float:
 def _hv3(points: list[Point], ref: Point) -> float:
     """Sweep z upwards over the 2-D staircase of the points seen so far.
 
-    ``xs`` ascends and ``ys`` descends; the sentinels (-inf, ref_y) and
-    (ref_x, -inf) bound it, so no lookup runs off either end.  ``area`` is
-    the staircase's area inside the reference box; each new point adds only
-    the strips between it and the steps it removes.
+    The points arrive ascending in z.  ``xs`` ascends and ``ys`` descends;
+    the sentinels (-inf, ref_y) and (ref_x, -inf) bound it, so no lookup
+    runs off either end.  ``area`` is the staircase's area inside the
+    reference box; each new point adds only the strips between it and the
+    steps it removes.
     """
     ref_x, ref_y, ref_z = ref
     xs, ys = [-math.inf, ref_x], [ref_y, -math.inf]
     area = volume = 0.0
-    points = sorted(points, key=lambda p: p[2])
     z_prev = points[0][2]
     for x, y, z in points:
         volume += area * (z - z_prev)
         z_prev = z
-        if ys[bisect.bisect_right(xs, x) - 1] <= y:
-            continue  # weakly dominated in (x, y) by a step already there
         lo = hi = bisect.bisect_left(xs, x)
+        # No x appears twice in xs, so the last step at or left of x is lo or lo - 1.
+        if ys[lo if xs[lo] == x else lo - 1] <= y:
+            continue  # weakly dominated in (x, y) by a step already there
         left, height = x, ys[lo - 1]
         while ys[hi] >= y:
             area += (xs[hi] - left) * (height - y)
@@ -124,16 +131,26 @@ def _hv3(points: list[Point], ref: Point) -> float:
 
 def _hv_sliced(points: list[Point], ref: Point) -> float:
     """Sum, over slabs between consecutive last coordinates, of width times the
-    (m-1)-dimensional volume of the points below the slab."""
+    (m-1)-dimensional volume of the points below the slab.
+
+    The points arrive ascending in their last coordinate.  The heads of the
+    points below the slab are kept ascending in their own last coordinate,
+    each inserted after its equal keys: the order a stable sort of the
+    prefix gives, so the level below sweeps them as they stand.
+    """
     if len(ref) == 3:
         return _hv3(points, ref)
-    points = sorted(points, key=lambda p: p[-1])
-    heads = [p[:-1] for p in points]
+    heads: list[Point] = []
+    keys: list[float] = []
     uppers = [p[-1] for p in points[1:]] + [ref[-1]]
+    below = ref[:-1]
     volume = 0.0
-    for count, (p, upper) in enumerate(zip(points, uppers), start=1):
+    for p, upper in zip(points, uppers):
+        at = bisect.bisect_right(keys, p[-2])
+        keys.insert(at, p[-2])
+        heads.insert(at, p[:-1])
         if upper > p[-1]:
-            volume += (upper - p[-1]) * _hv_sliced(heads[:count], ref[:-1])
+            volume += (upper - p[-1]) * _hv_sliced(heads, below)
     return volume
 
 

@@ -281,11 +281,14 @@ def enumerate_front(instance: Instance) -> Rows:
         raise TooLargeError(
             f"enumeration of n={instance.n} exceeds the n<={ENUMERATION_LIMIT} guard"
         )
-    front = Rows(
-        np.empty((0, instance.n), dtype=np.int64), np.empty((0, instance.m), dtype=np.int64)
-    )
-    perm_iter = itertools.permutations(range(instance.n))
-    while batch := list(itertools.islice(perm_iter, ENUMERATION_CHUNK)):
+    n = instance.n
+    front = Rows(np.empty((0, n), dtype=np.int64), np.empty((0, instance.m), dtype=np.int64))
+    # The permutations' entries one after another, read straight into each int64 batch.
+    entries = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    total = math.factorial(n)
+    for start in range(0, total, ENUMERATION_CHUNK):
+        count = min(ENUMERATION_CHUNK, total - start)
+        batch = np.fromiter(entries, dtype=np.int64, count=count * n).reshape(count, n)
         pool = Rows.concat(front, evaluate(instance, batch))
         front = pool.take(non_dominated_mask(pool.objs))
     return front

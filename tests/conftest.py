@@ -7,7 +7,7 @@ import pytest
 
 from mqap import Archive, Instance
 from mqap.evaluation import DimensionMismatchError
-from mqap.metrics import EmptyUnionError, _hv2, _hv_sliced
+from mqap.metrics import EmptyUnionError, _hv2, _hv3
 from mqap.ranking import front_crowding, non_dominated_mask, pareto_ranks
 
 
@@ -190,6 +190,26 @@ def _hv_recursive(points, ref) -> float:
     return volume
 
 
+def resorting_hypervolume(front, ref) -> float:
+    """Slicing oracle for m >= 3: every slab's prefix is sorted again by its
+    last coordinate, down to mqap's 3-D sweep on points sorted by z."""
+    inside = [tuple(p) for p in front if all(x < r for x, r in zip(p, ref))]
+    return _hv_resorting(inside, tuple(ref)) if inside else 0.0
+
+
+def _hv_resorting(points, ref) -> float:
+    points = sorted(points, key=lambda p: p[-1])
+    if len(ref) == 3:
+        return _hv3(points, ref)
+    heads = [p[:-1] for p in points]
+    uppers = [p[-1] for p in points[1:]] + [ref[-1]]
+    volume = 0.0
+    for count, (p, upper) in enumerate(zip(points, uppers), start=1):
+        if upper > p[-1]:
+            volume += (upper - p[-1]) * _hv_resorting(heads[:count], ref[:-1])
+    return volume
+
+
 def tuple_normalize_fronts(fronts):
     """Normalisation oracle, point by point on tuples: min/max over the union of fronts."""
     union = [p for front in fronts for p in front]
@@ -209,13 +229,14 @@ def tuple_normalize_fronts(fronts):
 
 
 def tuple_hypervolume(front, ref) -> float:
-    """Hypervolume on tuples: a per-point filter against the reference, then mqap's sweeps."""
+    """Hypervolume on tuples: a per-point filter against the reference, then
+    mqap's 2-D sweep or the re-sorting slicer."""
     inside = [tuple(p) for p in front if all(x < r for x, r in zip(p, ref))]
     if not inside:
         return 0.0
     if len(ref) == 2:
         return _hv2(np.asarray(inside, dtype=float), ref)
-    return _hv_sliced(inside, tuple(ref))
+    return _hv_resorting(inside, tuple(ref))
 
 
 def tuple_compare_hypervolumes(fronts_per_set, offset: float = 0.01) -> list[list[float]]:

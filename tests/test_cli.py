@@ -235,6 +235,8 @@ def _write_bad_inputs(directory):
         text = f"! instance=demo\n0 1 | 3 4\n{row}\n"
         (directory / f"{name}.front").write_text(text, encoding="utf-8")
     (directory / "huge.qap").write_text("2\n0 1\n1 0\n0 3\n2 99999999999999999999\n", encoding="utf-8")
+    # The second flow matrix's rows start with a sign: data, not comments.
+    (directory / "signed.qap").write_text("2\n0 1\n1 0\n0 3\n2 0\n-1 4\n-2 0\n", encoding="utf-8")
     (directory / "latin1.qap").write_bytes("! name=café\n2\n0 1\n1 0\n0 3\n2 0\n".encode("latin-1"))
     for name, manifest in (
         ("not-json", "{trial_records"),
@@ -279,6 +281,7 @@ BAD_INPUTS = [
      ["run", "--gen-spec", "n=5,m=2,max_value=100000000000000000000"], "max_value"),
     ("instance-entry-beyond-int64", ["run", "--instance", "huge.qap"], "99999999999999999999"),
     ("instance-not-utf8", ["run", "--instance", "latin1.qap"], "latin1.qap"),
+    ("instance-row-starting-negative", ["run", "--instance", "signed.qap"], "non-negative"),
     ("enumerate-instance-not-utf8", ["enumerate", "--instance", "latin1.qap"], "latin1.qap"),
     ("migrants-over-capacity",
      ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500], None),

@@ -61,6 +61,15 @@ def test_parse_accepts_what_int_accepts():
     assert inst.flows[0].tolist() == [[0, 3], [2, 0]]
 
 
+def test_parse_rows_starting_with_a_sign_are_data():
+    inst = parse_instance("+2\n0 1\n+1 0\n+0 3\n2 0\n+0 5\n4 0")
+    assert inst.m == 2 and inst.flows[0].tolist() == [[0, 3], [2, 0]]
+    with pytest.raises(NegativeEntryError):
+        parse_instance("2\n0 1\n1 0\n0 3\n2 0\n-1 4\n-2 0")
+    # A sign not followed by a digit still starts a comment.
+    assert parse_instance("- note\n+ note\n" + MINIMAL).m == 1
+
+
 @pytest.mark.parametrize("token", ["1.5", "0x10", "99999999999999999999", "-99999999999999999999"])
 def test_parse_rejects_tokens_that_are_not_int64(token):
     with pytest.raises(InstanceFormatError, match=re.escape(repr(token))):
