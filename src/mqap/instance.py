@@ -168,7 +168,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
     """
     text = source if isinstance(source, str) else source.read()
     metadata: dict[str, str] = {}
-    tokens: list[str] = []
+    data: list[str] = []
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped:
@@ -179,18 +179,11 @@ def parse_instance(source: str | IO[str]) -> Instance:
                 key, _, value = stripped[1:].strip().partition("=")
                 metadata[key.strip()] = value.strip()
             continue
-        tokens.extend(stripped.split())
+        data.append(stripped)
 
-    if not tokens:
+    if not data:
         raise EmptyInputError("no numeric data found")
-    try:
-        # numpy converts each string as int() does, then checks the int64 range.
-        values = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        bad = next(tok for tok in tokens if not _is_int64(tok))
-        raise InstanceFormatError(
-            f"invalid token {bad!r}: entries must be integers in the signed 64-bit range"
-        ) from exc
+    values = _int64_values("\n".join(data))
 
     n = int(values[0])
     if n < 2:
@@ -213,6 +206,32 @@ def parse_instance(source: str | IO[str]) -> Instance:
         name=name,
         metadata=metadata,
     )
+
+
+# Deletes the characters of unsigned decimal tokens and the spaces between them.
+_UNSIGNED_TEXT = str.maketrans("", "", "0123456789 \t\n")
+
+
+def _int64_values(data: str) -> np.ndarray:
+    """The whitespace-separated integers of ``data`` as one int64 array.
+
+    Text of unsigned tokens below 10^18 is converted in one call; anything
+    else (signs, larger values, bad tokens) token by token, naming a bad token.
+    """
+    if not data.translate(_UNSIGNED_TEXT):
+        values = np.fromstring(data, dtype=np.int64, sep=" ")
+        # A token beyond int64 reads as 2^63 - 1; below 10^18 every value is exact.
+        if values.max() < 10**18:
+            return values
+    tokens = data.split()
+    try:
+        # numpy converts each string as int() does, then checks the int64 range.
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        bad = next(tok for tok in tokens if not _is_int64(tok))
+        raise InstanceFormatError(
+            f"invalid token {bad!r}: entries must be integers in the signed 64-bit range"
+        ) from exc
 
 
 def _is_int64(token: str) -> bool:

@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -150,18 +151,62 @@ def read_front_file(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
     """Returns (header metadata, (k, n) int64 permutations, (k, m) int64 objectives).
 
     Every row must hold as many permutation entries and as many objectives
-    as the first row.  A file without rows gives two (0, 0) arrays.
+    as the first row.  A file without rows gives two (0, 0) arrays.  A file
+    in the layout ``front_text`` writes is converted in one call; any other
+    file goes through the per-line reader, which names the line of an error.
     """
+    text = Path(path).read_text(encoding="utf-8")
+    return _read_canonical(text) or _read_per_line(text)
+
+
+# One unsigned token of at most 18 digits: its value fits in int64.
+_TOKEN = "[0-9]{1,18}"
+
+
+def _read_canonical(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray] | None:
+    """The arrays of a file in ``front_text``'s layout, or None for any other file.
+
+    The layout: ``!`` header lines, then rows of n tokens, `` | ``, m tokens
+    and ``\\n``, with n and m taken from the first row.  No value of such a
+    file can leave the int64 range, so ``np.fromstring`` reads it exactly.
+    """
+    start = 0
+    while text.startswith("!", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    header: dict[str, str] = {}
+    for line in text[:start].splitlines():
+        stripped = line.strip()
+        if stripped[:1].isdigit():
+            return None  # a row after a line break other than \n in a header line
+        _header_line(stripped, header)
+    body = text[start:]
+    if not body:
+        return header, np.empty((0, 0), dtype=np.int64), np.empty((0, 0), dtype=np.int64)
+    perm, bar, objs = body[: body.find("\n")].partition(" | ")
+    if not bar:
+        return None
+    n, m = perm.count(" ") + 1, objs.count(" ") + 1
+    row = rf"(?:{_TOKEN} ){{{n - 1}}}{_TOKEN} \| (?:{_TOKEN} ){{{m - 1}}}{_TOKEN}\n"
+    if not re.fullmatch(f"(?:{row})+", body):
+        return None
+    values = np.fromstring(body.replace("|", " "), dtype=np.int64, sep=" ")
+    rows = values.reshape(body.count("\n"), n + m)
+    return header, rows[:, :n], rows[:, n:]
+
+
+def _read_per_line(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
+    """Any front file, parsed line by line: blank lines and comments are skipped."""
     header: dict[str, str] = {}
     numbers, rows = [], []
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped[:1].isdigit():
             numbers.append(number)
             rows.append(stripped.partition("|"))
-        elif stripped.startswith("!") and "=" in stripped:
-            key, _, value = stripped[1:].strip().partition("=")
-            header[key.strip()] = value.strip()
+        else:
+            _header_line(stripped, header)
     perms = [row[0].split() for row in rows]
     objectives = [row[2].split() for row in rows]
     for number, perm, objs in zip(numbers, perms, objectives):
@@ -176,6 +221,13 @@ def read_front_file(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
                 f"line {number} holds a permutation of {len(perm)}, the first row {len(perms[0])}"
             )
     return header, _int64_rows(perms, numbers), _int64_rows(objectives, numbers)
+
+
+def _header_line(stripped: str, header: dict[str, str]) -> None:
+    """Records a ``! key=value`` line; other comment lines are skipped."""
+    if stripped.startswith("!") and "=" in stripped:
+        key, _, value = stripped[1:].strip().partition("=")
+        header[key.strip()] = value.strip()
 
 
 def _int64_rows(rows: list[list[str]], numbers: list[int]) -> np.ndarray:
@@ -319,10 +371,9 @@ class ComparisonRow:
 def load_result_set(directory) -> ResultSet:
     path = Path(directory)
     manifest_path = path / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise InstanceLoadError(f"{directory} has no {MANIFEST_NAME}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
         records = manifest["trial_records"]
         result = ResultSet(
             label=f"{manifest['algorithm']}/{manifest['islands']}",
@@ -334,6 +385,8 @@ def load_result_set(directory) -> ResultSet:
             seeds=[rec["seed"] for rec in records],
         )
         front_paths = [path / rec["front_file"] for rec in records]
+    except FileNotFoundError:
+        raise InstanceLoadError(f"{directory} has no {MANIFEST_NAME}") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise InstanceLoadError(f"{manifest_path} is not a valid result manifest: {exc!r}") from exc
     if not front_paths:

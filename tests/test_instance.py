@@ -13,6 +13,7 @@ from mqap.instance import (
     NegativeEntryError,
     TokenCountMismatchError,
     _INT64_SAFE,
+    _int64_values,
 )
 
 MINIMAL = "2\n0 1\n1 0\n0 3\n2 0"
@@ -101,6 +102,34 @@ def test_round_trip_generated(seed):
     assert np.array_equal(parsed.distances, original.distances)
     assert all(np.array_equal(a, b) for a, b in zip(parsed.flows, original.flows))
     assert parsed.name == original.name
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        "2\n0 1\n1 0",
+        "0 999999999999999999\t7",  # the largest value the one-call conversion takes
+        "1000000000000000000 5",
+        "9223372036854775807 5",
+        "9223372036854775808 5",
+        "99999999999999999999 5",
+        "0000000000000000000000005 1",
+        "+5 -3\n-0 +0",
+        "1_0 7",
+        "\u0663 1",
+        "1\xa02",
+        "1.5 2",
+        "0x10 2",
+    ],
+)
+def test_one_call_conversion_equals_the_token_path(data):
+    try:
+        expected = np.array(data.split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        with pytest.raises(InstanceFormatError, match="invalid token"):
+            _int64_values(data)
+        return
+    np.testing.assert_array_equal(_int64_values(data), expected, strict=True)
 
 
 def test_instance_validation():
