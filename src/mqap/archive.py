@@ -28,7 +28,7 @@ from .ranking import front_crowding, weakly_dominates
 
 
 class Archive:
-    def __init__(self, capacity: int = 100, track_evictions: bool = False):
+    def __init__(self, capacity: int = 100):
         if capacity < 1:
             raise ValueError("archive capacity must be >= 1")
         self.capacity = capacity
@@ -39,10 +39,6 @@ class Archive:
         # Work counters: candidates offered to insert, members evicted.
         self.offered = 0
         self.evicted = 0
-        # Eviction log of (perm, objs) rows is opt-in; stress tests use it to audit truncation.
-        self.evictions: list[tuple[np.ndarray, np.ndarray]] | None = (
-            [] if track_evictions else None
-        )
 
     def __len__(self) -> int:
         return len(self.perms)
@@ -95,8 +91,6 @@ class Archive:
                 current ^= 1 << evicted
                 self._keys.discard(perms[evicted].tobytes())
                 self.evicted += 1
-                if self.evictions is not None:
-                    self.evictions.append((perms[evicted].copy(), objs[evicted].copy()))
         rows = _rows(current, width)
         self.perms, self.objs = perms[rows], objs[rows]
         joined = np.zeros(count, dtype=bool)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import IO, NamedTuple
 
 import numpy as np
@@ -160,27 +161,12 @@ class InstanceSpec:
 def parse_instance(source: str | IO[str]) -> Instance:
     """Parse whitespace-delimited instance text.
 
-    A line is data when its first token starts with a digit, or with one
-    sign followed by a digit; any other line is a comment, and comments of
-    the form ``! key=value`` are collected as metadata.
-    The first number is n, followed by the n*n distance matrix and one or
-    more n*n flow matrices (m is inferred from the remaining token count).
+    Lines follow ``text_lines``' rule, and data converts through
+    ``_int64_values``.  The first number is n, followed by the n*n distance
+    matrix and one or more n*n flow matrices (m is inferred from the
+    remaining token count).
     """
-    text = source if isinstance(source, str) else source.read()
-    metadata: dict[str, str] = {}
-    data: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        unsigned = stripped[1:] if stripped[0] in "+-" else stripped
-        if not unsigned[:1].isdigit():
-            if stripped.startswith("!") and "=" in stripped:
-                key, _, value = stripped[1:].strip().partition("=")
-                metadata[key.strip()] = value.strip()
-            continue
-        data.append(stripped)
-
+    metadata, data, _ = text_lines(source if isinstance(source, str) else source.read())
     if not data:
         raise EmptyInputError("no numeric data found")
     values = _int64_values("\n".join(data))
@@ -208,6 +194,29 @@ def parse_instance(source: str | IO[str]) -> Instance:
     )
 
 
+def text_lines(text: str) -> tuple[dict[str, str], list[str], list[int]]:
+    """The line rule of instance and front files: (metadata, data lines, their 1-based numbers).
+
+    Lines are stripped.  A line is data when its first token starts with a
+    digit, or with one sign followed by a digit; any other line is a
+    comment, and comments of the form ``! key=value`` are collected as
+    metadata, a later key replacing an earlier one.
+    """
+    metadata: dict[str, str] = {}
+    data: list[str] = []
+    numbers: list[int] = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        unsigned = stripped[1:] if stripped.startswith(("+", "-")) else stripped
+        if unsigned[:1].isdigit():
+            data.append(stripped)
+            numbers.append(number)
+        elif stripped.startswith("!") and "=" in stripped:
+            key, _, value = stripped[1:].partition("=")
+            metadata[key.strip()] = value.strip()
+    return metadata, data, numbers
+
+
 # Deletes the characters of unsigned decimal tokens and the spaces between them.
 _UNSIGNED_TEXT = str.maketrans("", "", "0123456789 \t\n")
 
@@ -215,8 +224,9 @@ _UNSIGNED_TEXT = str.maketrans("", "", "0123456789 \t\n")
 def _int64_values(data: str) -> np.ndarray:
     """The whitespace-separated integers of ``data`` as one int64 array.
 
-    Text of unsigned tokens below 10^18 is converted in one call; anything
-    else (signs, larger values, bad tokens) token by token, naming a bad token.
+    The one int64 text conversion of instance and front files.  Text of
+    unsigned tokens below 10^18 is converted in one call; anything else
+    (signs, larger values, bad tokens) token by token, naming a bad token.
     """
     if not data.translate(_UNSIGNED_TEXT):
         values = np.fromstring(data, dtype=np.int64, sep=" ")
@@ -260,9 +270,7 @@ def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as handle:
         inst = parse_instance(handle)
     if not inst.name:
-        import os
-
-        inst.name = os.path.splitext(os.path.basename(str(path)))[0]
+        inst.name = Path(path).stem
     return inst
 
 

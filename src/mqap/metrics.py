@@ -154,22 +154,6 @@ def _hv_sliced(points: list[Point], ref: Point) -> float:
     return volume
 
 
-def _rank(values: Sequence[float]) -> list[float]:
-    """Average ranks, 1-based, with ties sharing the mean rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
-
-
 def wilcoxon_rank_sum(
     sample_a: Sequence[float],
     sample_b: Sequence[float],
@@ -191,15 +175,17 @@ def wilcoxon_rank_sum(
     if len(set(combined)) == 1:
         raise DegenerateSampleError("all observations identical; ranks carry no signal")
 
-    ranks = _rank(combined)
+    # Each value's tie group spans positions [lo, hi) of the sorted sample:
+    # its average 1-based rank is (lo + hi + 1) / 2, and a group of c ties
+    # adds c^3 - c to the tie term, c^2 - 1 per member.
+    ordered = sorted(combined)
+    spans = [(bisect.bisect_left(ordered, v), bisect.bisect_right(ordered, v)) for v in combined]
+    ranks = [(lo + hi + 1) / 2 for lo, hi in spans]
     w = sum(ranks[:n1])
     n = n1 + n2
     mean_w = n1 * (n + 1) / 2
 
-    counts = {}
-    for r in ranks:
-        counts[r] = counts.get(r, 0) + 1
-    tie_term = sum(c**3 - c for c in counts.values())
+    tie_term = sum((hi - lo) ** 2 - 1 for lo, hi in spans)
     variance = n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
     sd = math.sqrt(variance)
     statistic = (w - mean_w) / sd

@@ -19,7 +19,15 @@ import numpy as np
 
 from . import __version__, metrics
 from .evaluation import Rows, evaluate
-from .instance import Instance, InstanceFormatError, InstanceSpec, generate_uniform, load_instance
+from .instance import (
+    Instance,
+    InstanceFormatError,
+    InstanceSpec,
+    _int64_values,
+    generate_uniform,
+    load_instance,
+    text_lines,
+)
 from .island import IslandConfig, IslandError, IslandStats, run_fleet
 from .ranking import non_dominated_mask
 
@@ -150,37 +158,30 @@ def write_front_file(path, perms: np.ndarray, objs: np.ndarray, header: dict[str
 def read_front_file(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
     """Returns (header metadata, (k, n) int64 permutations, (k, m) int64 objectives).
 
-    Every row must hold as many permutation entries and as many objectives
-    as the first row.  A file without rows gives two (0, 0) arrays.  A file
-    in the layout ``front_text`` writes is converted in one call; any other
-    file goes through the per-line reader, which names the line of an error.
+    Lines follow ``instance.text_lines``' rule.  Every row must hold as
+    many permutation entries and as many objectives as the first row.  A
+    file without rows gives two (0, 0) arrays.  A file in the layout
+    ``front_text`` writes is converted in one call; any other file goes
+    through the per-line reader, which names the line of an error.
     """
     text = Path(path).read_text(encoding="utf-8")
     return _read_canonical(text) or _read_per_line(text)
 
 
-# One unsigned token of at most 18 digits: its value fits in int64.
-_TOKEN = "[0-9]{1,18}"
-
-
 def _read_canonical(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray] | None:
     """The arrays of a file in ``front_text``'s layout, or None for any other file.
 
-    The layout: ``!`` header lines, then rows of n tokens, `` | ``, m tokens
-    and ``\\n``, with n and m taken from the first row.  No value of such a
-    file can leave the int64 range, so ``np.fromstring`` reads it exactly.
+    The layout: ``!`` header lines, then rows of n unsigned tokens, `` | ``,
+    m unsigned tokens and ``\\n``, with n and m taken from the first row.
     """
     start = 0
     while text.startswith("!", start):
         start = text.find("\n", start) + 1
         if not start:
             return None
-    header: dict[str, str] = {}
-    for line in text[:start].splitlines():
-        stripped = line.strip()
-        if stripped[:1].isdigit():
-            return None  # a row after a line break other than \n in a header line
-        _header_line(stripped, header)
+    header, data, _ = text_lines(text[:start])
+    if data:
+        return None  # a row after a line break other than \n in a header line
     body = text[start:]
     if not body:
         return header, np.empty((0, 0), dtype=np.int64), np.empty((0, 0), dtype=np.int64)
@@ -188,25 +189,23 @@ def _read_canonical(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray] 
     if not bar:
         return None
     n, m = perm.count(" ") + 1, objs.count(" ") + 1
-    row = rf"(?:{_TOKEN} ){{{n - 1}}}{_TOKEN} \| (?:{_TOKEN} ){{{m - 1}}}{_TOKEN}\n"
+    row = rf"(?:[0-9]+ ){{{n - 1}}}[0-9]+ \| (?:[0-9]+ ){{{m - 1}}}[0-9]+\n"
     if not re.fullmatch(f"(?:{row})+", body):
         return None
-    values = np.fromstring(body.replace("|", " "), dtype=np.int64, sep=" ")
+    try:
+        values = _int64_values(body.replace(" | ", " "))
+    except InstanceFormatError:
+        return None  # a value beyond int64: the per-line reader names its line
     rows = values.reshape(body.count("\n"), n + m)
     return header, rows[:, :n], rows[:, n:]
 
 
 def _read_per_line(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
     """Any front file, parsed line by line: blank lines and comments are skipped."""
-    header: dict[str, str] = {}
-    numbers, rows = [], []
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped[:1].isdigit():
-            numbers.append(number)
-            rows.append(stripped.partition("|"))
-        else:
-            _header_line(stripped, header)
+    header, lines, numbers = text_lines(text)
+    if not lines:
+        return header, np.empty((0, 0), dtype=np.int64), np.empty((0, 0), dtype=np.int64)
+    rows = [line.partition("|") for line in lines]
     perms = [row[0].split() for row in rows]
     objectives = [row[2].split() for row in rows]
     for number, perm, objs in zip(numbers, perms, objectives):
@@ -220,32 +219,20 @@ def _read_per_line(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
             raise ValueError(
                 f"line {number} holds a permutation of {len(perm)}, the first row {len(perms[0])}"
             )
-    return header, _int64_rows(perms, numbers), _int64_rows(objectives, numbers)
-
-
-def _header_line(stripped: str, header: dict[str, str]) -> None:
-    """Records a ``! key=value`` line; other comment lines are skipped."""
-    if stripped.startswith("!") and "=" in stripped:
-        key, _, value = stripped[1:].strip().partition("=")
-        header[key.strip()] = value.strip()
-
-
-def _int64_rows(rows: list[list[str]], numbers: list[int]) -> np.ndarray:
-    """One int64 array of equally long token rows; an unparsable token names its line."""
-    if not rows:
-        return np.empty((0, 0), dtype=np.int64)
+    texts = [" ".join(perm + objs) for perm, objs in zip(perms, objectives)]
     try:
-        return np.array(rows, dtype=np.int64)
-    except (ValueError, OverflowError):
-        # Parse row by row to find the line that fails.
-        for number, row in zip(numbers, rows):
+        values = _int64_values(" ".join(texts))
+    except InstanceFormatError:
+        # Convert row by row to find the line that fails.
+        for number, row in zip(numbers, texts):
             try:
-                np.array(row, dtype=np.int64)
-            except OverflowError as exc:
-                raise ValueError(f"line {number} holds a value beyond the int64 range") from exc
-            except ValueError as exc:
+                _int64_values(row)
+            except InstanceFormatError as exc:
                 raise ValueError(f"line {number}: {exc}") from exc
         raise
+    n = len(perms[0])
+    values = values.reshape(len(lines), -1)
+    return header, values[:, :n], values[:, n:]
 
 
 def _run_trial(instance, config, out_dir, instance_name, index) -> TrialRecord:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mqap.archive
 from mqap import Archive, Instance
 from mqap.evaluation import DimensionMismatchError
 from mqap.metrics import EmptyUnionError, _hv2, _hv3
@@ -26,12 +27,13 @@ def dominates(a, b) -> bool:
     return not_worse and strictly_better
 
 
-def insert_one(archive: Archive, perm, objs) -> bool:
+def insert_one(archive: Archive, perm, objs, evicted: list | None = None) -> bool:
     """Archive insert oracle: one candidate row, scalar dominance tests; True if it joined.
 
     A present permutation or a dominating member rejects the candidate;
     otherwise the members it dominates leave, it joins at the end, and the
     least crowded members are evicted while the archive is over capacity.
+    ``evicted``, if given, collects the objectives of each evicted member.
     """
     perm = np.asarray(perm, dtype=np.int64)
     obj = tuple(int(v) for v in objs)
@@ -52,20 +54,20 @@ def insert_one(archive: Archive, perm, objs) -> bool:
     survivors.append((perm, obj))
     archive._keys.add(key)
     while len(survivors) > archive.capacity:
-        _evict_most_crowded(archive, survivors)
+        _evict_most_crowded(archive, survivors, evicted)
     archive.perms = np.array([p for p, _ in survivors], dtype=np.int64)
     archive.objs = np.array([o for _, o in survivors], dtype=np.int64)
     return True
 
 
-def _evict_most_crowded(archive: Archive, members: list) -> None:
+def _evict_most_crowded(archive: Archive, members: list, evicted: list | None) -> None:
     # Members form a single front, so crowding is computed directly.
     crowding = front_crowding(np.array([o for _, o in members], dtype=np.int64))
     perm, obj = members.pop(int(np.argmin(crowding)))
     archive._keys.discard(perm.tobytes())
     archive.evicted += 1
-    if archive.evictions is not None:
-        archive.evictions.append((perm, np.array(obj, dtype=np.int64)))
+    if evicted is not None:
+        evicted.append(obj)
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int, hi: int = 50) -> Instance:
@@ -322,6 +324,24 @@ def scalar_cycle_crossover(p1, p2):
             pos = int(pos_in_p1[p2[pos]])
         from_p1 = not from_p1
     return c1, c2
+
+
+@pytest.fixture
+def eviction_log(monkeypatch) -> list[tuple[int, ...]]:
+    """The objectives of every member ``Archive.insert`` evicts, in order.
+
+    ``Archive.insert`` computes crowding once per eviction and evicts the
+    member of least crowding, so a wrapper of its ``front_crowding`` sees each.
+    """
+    log = []
+
+    def crowding(objs):
+        values = front_crowding(objs)
+        log.append(tuple(objs[int(np.argmin(values))].tolist()))
+        return values
+
+    monkeypatch.setattr(mqap.archive, "front_crowding", crowding)
+    return log
 
 
 @pytest.fixture

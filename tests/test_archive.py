@@ -91,9 +91,9 @@ def _assert_mutually_non_dominated(objectives):
             assert not dominates(a, b)
 
 
-def test_stream_stress_with_eviction_audit():
+def test_stream_stress_with_eviction_audit(eviction_log):
     rng = random.Random(99)
-    archive = Archive(capacity=50, track_evictions=True)
+    archive = Archive(capacity=50)
     perms, objs = _fresh(rng, 200, n=7, m=2, hi=60)
     for row in range(len(perms)):
         archive.insert(perms[row : row + 1], objs[row : row + 1])
@@ -101,11 +101,10 @@ def test_stream_stress_with_eviction_audit():
     _assert_mutually_non_dominated(_objectives(archive))
 
     true_front = brute_force_non_dominated([tuple(o) for o in objs.tolist()])
-    evicted = [tuple(o.tolist()) for _, o in archive.evictions]
     for member in _objectives(archive):
         if member in true_front:
             continue
-        assert any(dominates(e, member) for e in evicted)
+        assert any(dominates(e, member) for e in eviction_log)
 
 
 def _merged_objectives(archives):
@@ -200,13 +199,14 @@ def _batches(rng, m, hi, base):
     ]
 
 
-def _state(archive):
-    """Member rows and evicted rows, in order, and the permutation key set."""
+def _state(archive, evicted):
+    """Member rows, the permutation key set, and the evicted objectives in order."""
     return (
         archive.perms.tolist() if len(archive) else [],
         archive.objs.tolist() if len(archive) else [],
         archive._keys,
-        [(p.tolist(), o.tolist()) for p, o in archive.evictions],
+        archive.evicted,
+        evicted,
     )
 
 
@@ -215,7 +215,7 @@ BASES = [0, 2**62 - 1000]
 
 
 @pytest.mark.parametrize("fixed_base", [None, 0])
-def test_batch_insert_matches_insert_one(fixed_base):
+def test_batch_insert_matches_insert_one(fixed_base, eviction_log):
     # With no fixed base the objective offset alternates over BASES, case by case.
     bases = BASES if fixed_base is None else [fixed_base]
     rng = random.Random(17)
@@ -224,13 +224,16 @@ def test_batch_insert_matches_insert_one(fixed_base):
         m, hi = case % 4 + 1, rng.choice([3, 8, 200])
         base = bases[case // 4 % len(bases)]
         capacity = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 100])
-        batched = Archive(capacity, track_evictions=True)
-        reference = Archive(capacity, track_evictions=True)
+        batched, reference = Archive(capacity), Archive(capacity)
+        eviction_log.clear()
+        reference_log = []
         batches = _batches(rng, m, hi, base)
         for batch in batches:
             joined = batched.insert(*_rows(*batch)) if batch else batched.insert([], [])
-            expected = [insert_one(reference, perm, objs) for objs, perm in batch]
-            assert _state(batched) == _state(reference), (case, m, hi, base, capacity)
+            expected = [insert_one(reference, perm, objs, reference_log) for objs, perm in batch]
+            assert _state(batched, eviction_log) == _state(reference, reference_log), (
+                case, m, hi, base, capacity
+            )
             # A member on return is the last row of its permutation that joined.
             members = {tuple(p) for p in reference.perms.tolist()}
             kept = [False] * len(batch)
@@ -241,7 +244,7 @@ def test_batch_insert_matches_insert_one(fixed_base):
                     members.discard(perm)
             assert joined.tolist() == kept, (case, m, hi, base, capacity)
         assert batched.offered == sum(map(len, batches))
-        assert batched.evicted == len(batched.evictions)
+        assert batched.evicted == len(eviction_log)
         if capacity == 100 and len(reference) == 100:
             filled.add(base)
     assert filled == set(bases), "no archive of capacity 100 filled at some scale"

@@ -57,7 +57,7 @@ def _same_result(path, text=None):
         (3, 2, 40, 10**6, True),
         (30, 2, 60, 10**9, True),
         (4, 4, 20, 10**18, True),
-        (2, 3, 10, 2**63, False),  # 19-digit values: the checked path
+        (2, 3, 10, 2**63, True),  # 19-digit values: converted token by token
     ],
 )
 def test_written_fronts_read_back_equal(tmp_path, np_rng, per_line_calls, n, m, k, high, bulk):
@@ -81,7 +81,7 @@ def test_largest_int64_reads_exactly(tmp_path, per_line_calls):
     write_front_file(path, [[0, 2**63 - 1]], [[2**63 - 1, 10**18]], {})
     _, perms, objs = read_front_file(path)
     assert perms.tolist() == [[0, 2**63 - 1]] and objs.tolist() == [[2**63 - 1, 10**18]]
-    assert len(per_line_calls) == 1
+    assert per_line_calls == []
 
 
 CANONICAL = "! instance=demo\n! seed=3\n0 1 2 | 3 40\n1 0 2 | 5 6\n2 1 0 | 70 8\n"
@@ -99,6 +99,7 @@ VARIANTS = {
     "no-final-newline": CANONICAL[:-1],
     "plus-sign": CANONICAL.replace("| 5 6", "| +5 6"),
     "plus-sign-first": CANONICAL.replace("\n1 0", "\n+1 0"),
+    "minus-sign-first": CANONICAL.replace("\n1 0", "\n-1 0"),
     "underscore": CANONICAL.replace("| 70", "| 7_0"),
     "leading-zeros": CANONICAL.replace("| 70", "| 0070"),
     "header-after-data": CANONICAL + "! seed=4\n! algorithm=nsga2\n",
@@ -119,7 +120,7 @@ VARIANTS = {
     "bar-moved": CANONICAL.replace("1 0 2 | 5 6", "1 0 | 2 5 6"),
 }
 # The variants that are in front_text's layout after all.
-BULK_VARIANTS = {"no-header", "only-header", "empty", "leading-zeros"}
+BULK_VARIANTS = {"no-header", "only-header", "empty", "leading-zeros", "nineteen-digits"}
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
@@ -147,8 +148,26 @@ def test_rows_of_two_then_four_objectives_name_their_line(tmp_path):
         read_front_file(path)
 
 
+def test_a_second_bar_is_an_invalid_token(tmp_path):
+    path = tmp_path / "t.front"
+    path.write_text("0 1 | 3 4\n1 0 | 5 |\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^line 2: invalid token '\|'"):
+        read_front_file(path)
+
+
 def _run(argv):
     return main([str(a) for a in argv])
+
+
+def test_sign_led_rows_are_data(tmp_path, capsys):
+    path = tmp_path / "t.front"
+    path.write_text("0 1 | 5 6\n-1 0 | 3 4\n+1 0 | 1 2\n", encoding="utf-8")
+    _, perms, objs = read_front_file(path)
+    assert perms.tolist() == [[0, 1], [-1, 0], [1, 0]]
+    assert objs.tolist() == [[5, 6], [3, 4], [1, 2]]
+    # (1, 2) alone covers 9 x 8 of the box below (10, 10); (5, 6) alone 5 x 4.
+    assert _run(["hv", "--front", path, "--ref", "10,10"]) == 0
+    assert capsys.readouterr().out == "72.000000\n"
 
 
 def test_run_and_enumerate_output_never_reaches_the_per_line_reader(

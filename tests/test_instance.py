@@ -14,6 +14,7 @@ from mqap.instance import (
     TokenCountMismatchError,
     _INT64_SAFE,
     _int64_values,
+    text_lines,
 )
 
 MINIMAL = "2\n0 1\n1 0\n0 3\n2 0"
@@ -69,6 +70,15 @@ def test_parse_rows_starting_with_a_sign_are_data():
         parse_instance("2\n0 1\n1 0\n0 3\n2 0\n-1 4\n-2 0")
     # A sign not followed by a digit still starts a comment.
     assert parse_instance("- note\n+ note\n" + MINIMAL).m == 1
+
+
+def test_text_lines_rule():
+    lines = ["", "  ", "# note", "! k=v", "!k=w", "+1", "-1", "- 1", "|5", " 2 | 3 ", "! j = x y "]
+    metadata, data, numbers = text_lines("\n".join(lines))
+    # A later key replaces an earlier one; keys and values are stripped.
+    assert metadata == {"k": "w", "j": "x y"}
+    assert data == ["+1", "-1", "2 | 3"]
+    assert numbers == [6, 7, 10]
 
 
 @pytest.mark.parametrize("token", ["1.5", "0x10", "99999999999999999999", "-99999999999999999999"])

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import multiprocessing
 import os
@@ -644,11 +643,10 @@ def test_memetic_island_does_not_offer_the_archive_its_own_members(monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["memetic", "nsga2"])
-def test_archive_evictions_match_the_eviction_log(algorithm, monkeypatch):
-    monkeypatch.setattr(mqap.island, "Archive", functools.partial(Archive, track_evictions=True))
+def test_archive_evictions_match_the_eviction_log(algorithm, eviction_log):
     config = _config(algorithm=algorithm, archive_capacity=3, generations=8)
     result = run_island(config, _instance(m=3), SEED)
-    assert result.stats.archive_evictions == len(result.archive.evictions) > 0
+    assert result.stats.archive_evictions == len(eviction_log) > 0
 
 
 def test_migrant_keys_are_rank_and_crowd_keys(monkeypatch):
