@@ -226,9 +226,10 @@ def _int64_values(data: str) -> np.ndarray:
 
     The one int64 text conversion of instance and front files.  Text of
     unsigned tokens below 10^18 is converted in one call; anything else
-    (signs, larger values, bad tokens) token by token, naming a bad token.
+    (signs, larger values, bad tokens, no tokens at all, which
+    ``np.fromstring`` would read as one 0) token by token, naming a bad token.
     """
-    if not data.translate(_UNSIGNED_TEXT):
+    if data.strip() and not data.translate(_UNSIGNED_TEXT):
         values = np.fromstring(data, dtype=np.int64, sep=" ")
         # A token beyond int64 reads as 2^63 - 1; below 10^18 every value is exact.
         if values.max() < 10**18:

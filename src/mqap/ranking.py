@@ -20,8 +20,6 @@ Fitness = tuple[int, float]
 
 # Cells of one boolean mask in non_dominated_mask: 4 MB whatever the front size.
 _MASK_CELLS = 1 << 22
-# Columns per strip of the one-block strict test: a strip of the transpose stays in cache.
-_STRIP = 256
 
 
 def weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,24 +61,20 @@ def non_dominated_mask(objs: np.ndarray) -> np.ndarray:
 
     Equal rows never dominate each other, so every copy of a surviving row
     survives.  When the whole (N, N) mask fits in ``_MASK_CELLS``, one
-    strict-dominance matrix ``weak & ~weak.T`` decides every row, a strip of
-    columns at a time.  Otherwise the rows are peeled: after one
-    lexicographic sort, every row that dominates a row lies in an earlier
-    run of equal rows, and by transitivity a dominated row is dominated by a
-    non-dominated one.  Of the first ``step`` rows still left, those that no
-    earlier-run row among them dominates are kept, and they sweep out every
-    later row they dominate.  No sums are formed, and with ``step`` rows per
-    block each mask stays within ``_MASK_CELLS``.
+    strict-dominance matrix ``weak & ~weak.T`` decides every row.  Otherwise
+    the rows are peeled: after one lexicographic sort, every row that
+    dominates a row lies in an earlier run of equal rows, and by transitivity
+    a dominated row is dominated by a non-dominated one.  Of the first
+    ``step`` rows still left, those that no earlier-run row among them
+    dominates are kept, and they sweep out every later row they dominate.
+    No sums are formed, and with ``step`` rows per block each mask stays
+    within ``_MASK_CELLS``.
     """
     objs = np.asarray(objs)
     size = len(objs)
     if size * size <= _MASK_CELLS:
         weak = weakly_dominates(objs, objs)
-        beaten = np.empty(size, dtype=bool)
-        for start in range(0, size, _STRIP):
-            strip = slice(start, start + _STRIP)
-            beaten[strip] = (weak[:, strip] > weak[strip].T).any(axis=0)
-        return ~beaten
+        return ~(weak > weak.T).any(axis=0)
     # Lexicographic order, last column first: only the later passes need a stable sort.
     order = np.argsort(objs[:, -1])
     for col in objs.T[-2::-1]:

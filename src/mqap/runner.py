@@ -11,7 +11,7 @@ import functools
 import itertools
 import json
 import math
-import re
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -35,6 +35,9 @@ MANIFEST_NAME = "manifest.json"
 REFERENCE_OFFSET = 0.01
 ENUMERATION_LIMIT = 10
 ENUMERATION_CHUNK = 20000  # permutations evaluated per batch
+# Between a row's permutation and its objectives in the files front_text writes.
+_BAR = " | "
+_DIGITS = str.maketrans("", "", "0123456789")
 
 
 class InstanceLoadError(ValueError):
@@ -142,7 +145,7 @@ def front_text(perms: np.ndarray, objs: np.ndarray, header: dict[str, str]) -> s
     rows = sorted(zip(np.asarray(objs).tolist(), np.asarray(perms).tolist()))
     lines = [f"! {key}={value}" for key, value in header.items()]
     lines.extend(
-        " ".join(str(v) for v in perm) + " | " + " ".join(str(v) for v in obj)
+        " ".join(str(v) for v in perm) + _BAR + " ".join(str(v) for v in obj)
         for obj, perm in rows
     )
     return "\n".join(lines) + "\n"
@@ -171,8 +174,9 @@ def read_front_file(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
 def _read_canonical(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray] | None:
     """The arrays of a file in ``front_text``'s layout, or None for any other file.
 
-    The layout: ``!`` header lines, then rows of n unsigned tokens, `` | ``,
+    The layout: ``!`` header lines, then k rows of n unsigned tokens, `` | ``,
     m unsigned tokens and ``\\n``, with n and m taken from the first row.
+    Without its digits the body must be k copies of the row skeleton.
     """
     start = 0
     while text.startswith("!", start):
@@ -185,18 +189,19 @@ def _read_canonical(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray] 
     body = text[start:]
     if not body:
         return header, np.empty((0, 0), dtype=np.int64), np.empty((0, 0), dtype=np.int64)
-    perm, bar, objs = body[: body.find("\n")].partition(" | ")
+    perm, bar, objs = body[: body.find("\n")].partition(_BAR)
     if not bar:
         return None
-    n, m = perm.count(" ") + 1, objs.count(" ") + 1
-    row = rf"(?:[0-9]+ ){{{n - 1}}}[0-9]+ \| (?:[0-9]+ ){{{m - 1}}}[0-9]+\n"
-    if not re.fullmatch(f"(?:{row})+", body):
+    n, m, k = perm.count(" ") + 1, objs.count(" ") + 1, body.count("\n")
+    if body.translate(_DIGITS) != (" " * (n - 1) + _BAR + " " * (m - 1) + "\n") * k:
         return None
     try:
-        values = _int64_values(body.replace(" | ", " "))
+        values = _int64_values(body.replace(_BAR, " "))
     except InstanceFormatError:
-        return None  # a value beyond int64: the per-line reader names its line
-    rows = values.reshape(body.count("\n"), n + m)
+        return None  # a value beyond int64 or a bar inside a token: the per-line reader decides
+    if len(values) != k * (n + m):
+        return None  # an empty token
+    rows = values.reshape(k, n + m)
     return header, rows[:, :n], rows[:, n:]
 
 
@@ -263,6 +268,22 @@ def _run_trial(instance, config, out_dir, instance_name, index) -> TrialRecord:
     )
 
 
+def _end_with_caller(caller: int) -> None:
+    """Trial worker initializer: the worker gets SIGTERM when the thread that forked it ends.
+
+    A fork clears that signal, so a worker's island children keep their own
+    exit on EOF.
+    """
+    import ctypes
+    import signal
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG, Linux only
+    if os.getppid() != caller:
+        os._exit(1)  # the caller died before the signal was set
+
+
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run the trials, at most ``parallel_trials`` at once in forked worker processes.
 
@@ -287,7 +308,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
         context = multiprocessing.get_context("fork")
         try:
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            with ProcessPoolExecutor(
+                workers, context, initializer=_end_with_caller, initargs=(os.getpid(),)
+            ) as pool:
                 result.trials = list(pool.map(trial, range(config.trials)))
         except BrokenProcessPool as exc:
             raise TrialWorkerError("a trial worker process died before it returned its trial") from exc

@@ -118,6 +118,11 @@ VARIANTS = {
     "ragged-permutation": CANONICAL.replace("1 0 2 |", "1 0 |"),
     # The row is as wide as the first, but splits it at another place.
     "bar-moved": CANONICAL.replace("1 0 2 | 5 6", "1 0 | 2 5 6"),
+    # The separators of the first row, one value fewer.
+    "empty-token": CANONICAL.replace("1 0 2 | 5 6", "1 02  | 5 6"),
+    "bare-bar": "! instance=demo\n | \n",
+    # The skeleton of the first row, with the bar against a token.
+    "bar-touches-a-token": CANONICAL.replace("1 0 2 | 5 6", "1 0 2 |5  6"),
 }
 # The variants that are in front_text's layout after all.
 BULK_VARIANTS = {"no-header", "only-header", "empty", "leading-zeros", "nineteen-digits"}

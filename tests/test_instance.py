@@ -130,6 +130,11 @@ def test_round_trip_generated(seed):
         "1\xa02",
         "1.5 2",
         "0x10 2",
+        # No tokens: no values, where np.fromstring reads blank text as one 0.
+        "",
+        " ",
+        " \n",
+        "\t\n",
     ],
 )
 def test_one_call_conversion_equals_the_token_path(data):

@@ -472,6 +472,42 @@ def test_island_child_exits_when_its_caller_dies(tmp_path):
     _wait_gone([int(pid_file.read_text())], seconds=5.0)
 
 
+_POOL_CALLER = """
+import os, sys, time
+import mqap.island
+from mqap.cli import main
+
+def run_island(*args):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(60)
+
+mqap.island.run_island = run_island
+main(["run", "--gen-spec", "n=6,m=2,seed=1", "--trials", "4", "--parallel-trials", "2",
+      "--out", sys.argv[2]])
+"""
+
+
+def test_trial_workers_exit_when_their_caller_dies(tmp_path):
+    src = Path(mqap.island.__file__).resolve().parents[1]
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    caller = subprocess.Popen(
+        [sys.executable, "-c", _POOL_CALLER, str(pid_dir), str(tmp_path / "out")],
+        env=env,
+        stdout=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(pid_dir.iterdir())) < 2:  # each worker runs one trial's island 0
+            assert caller.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+    finally:
+        caller.kill()
+        caller.wait()
+        _wait_gone([int(p.name) for p in pid_dir.iterdir()], seconds=5.0)
+
+
 def test_fleet_ends_cleanly_when_another_thread_reaped_a_child(monkeypatch):
     # With parallel trials, another thread's Process.start polls and reaps
     # every finished child of the process: a join can then return before

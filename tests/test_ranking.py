@@ -42,12 +42,10 @@ def _mask_oracle(objs):
 
 @pytest.mark.parametrize("cells", [1 << 22, 30 * 30, 7])
 def test_non_dominated_mask_matches_strict_dominance(monkeypatch, cells):
-    # Up to sqrt(cells) rows one strict-dominance matrix decides, in strips
-    # of 4 columns; beyond it the rows are peeled.  With 30 * 30 cells both
-    # sides of the boundary are drawn; with 7 cells a block holds one column
-    # once N >= 4: many blocks.
+    # Up to sqrt(cells) rows one strict-dominance matrix decides; beyond it
+    # the rows are peeled.  With 30 * 30 cells both sides of the boundary are
+    # drawn; with 7 cells a block holds one column once N >= 4: many blocks.
     monkeypatch.setattr("mqap.ranking._MASK_CELLS", cells)
-    monkeypatch.setattr("mqap.ranking._STRIP", 4)
     rng = np.random.default_rng(cells)
     for case in range(400):
         m, size = case % 4 + 1, int(rng.integers(0, 41))
