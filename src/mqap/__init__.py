@@ -1,7 +1,13 @@
 """Asynchronous island-model memetic solver for the multi-objective QAP."""
 
-# Set before the submodule imports: runner reads it for the manifest.
+# Set before the submodule imports: runner reads the version for the manifest,
+# and the submodules raise the error.
 __version__ = "0.1.0"
+
+
+class MqapError(Exception):
+    """A failure mqap reports as ``error: <message>`` with exit 2; anything else is a bug."""
+
 
 from .archive import Archive
 from .evaluation import Rows, evaluate, evaluate_batch, swap_delta_matrix

@@ -15,9 +15,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import runner
+from . import MqapError, runner
 from .instance import InstanceFormatError, InstanceSpec, generate_uniform, save_instance
-from .island import MEMETIC, NSGA2, IslandError
+from .island import MEMETIC, NSGA2
 from .metrics import hypervolume, normalize_fronts, reference_point
 from .runner import (
     ExperimentConfig,
@@ -56,10 +56,6 @@ RUN_OPTIONS = {
 # fields, and InstanceSpec defaults every one but the required ones.
 GEN_SPEC_KEYS = {"n": int, "m": int, "correlation": float, "seed": int, "max_value": int}
 GEN_SPEC_REQUIRED = ("n", "m")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def parse_config_file(path) -> dict:
@@ -147,7 +143,7 @@ def cmd_run(args) -> int:
     try:
         config = _experiment_config(args)
     except ValueError as exc:
-        raise ConfigError(f"invalid run configuration: {exc}") from exc
+        raise MqapError(f"invalid run configuration: {exc}") from exc
     result = run_experiment(config)
     print(
         f"instance {result.instance_name}: {len(result.trials)} trial(s), "
@@ -163,7 +159,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     if not 0 < args.alpha < 1:  # NaN too
-        raise ConfigError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
+        raise MqapError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     sets = [load_result_set(d) for d in args.result_dirs]
     rows = compare_result_sets(sets, alpha=args.alpha)
     for row in rows:
@@ -206,7 +202,7 @@ def cmd_gen(args) -> int:
     try:
         instance = generate_uniform(InstanceSpec(**fields))
     except ValueError as exc:
-        raise ConfigError(f"invalid generator spec: {exc}") from exc
+        raise MqapError(f"invalid generator spec: {exc}") from exc
     save_instance(instance, args.out)
     print(f"wrote {instance.name} to {args.out}")
     return 0
@@ -215,24 +211,24 @@ def cmd_gen(args) -> int:
 def cmd_hv(args) -> int:
     try:
         _, _, points = runner.read_front_file(args.front)
-    except ValueError as exc:
-        raise ConfigError(f"cannot read {args.front}: {exc}") from exc
+    except (InstanceFormatError, UnicodeDecodeError) as exc:
+        raise MqapError(f"cannot read {args.front}: {exc}") from exc
     if not len(points):
-        raise ConfigError(f"{args.front} holds no points")
+        raise MqapError(f"{args.front} holds no points")
     if not math.isfinite(args.offset):
-        raise ConfigError(f"--offset must be finite, got {args.offset}")
+        raise MqapError(f"--offset must be finite, got {args.offset}")
     if args.offset <= 0:
         # The front's extreme points would sit on or beyond the reference and count for nothing.
-        raise ConfigError(f"--offset must be positive, got {args.offset}")
+        raise MqapError(f"--offset must be positive, got {args.offset}")
     if args.ref:
         try:
             ref = tuple(float(v) for v in args.ref.split(","))
         except ValueError as exc:
-            raise ConfigError(f"invalid --ref {args.ref!r}: {exc}") from exc
+            raise MqapError(f"invalid --ref {args.ref!r}: {exc}") from exc
         if not all(map(math.isfinite, ref)):
-            raise ConfigError(f"--ref must be finite, got {args.ref!r}")
+            raise MqapError(f"--ref must be finite, got {args.ref!r}")
         if len(ref) != points.shape[1]:
-            raise ConfigError(f"--ref has {len(ref)} coordinates, the front has {points.shape[1]}")
+            raise MqapError(f"--ref has {len(ref)} coordinates, the front has {points.shape[1]}")
     else:
         (points,), _ = normalize_fronts([points])
         ref = reference_point(points, args.offset)
@@ -253,16 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (
-        OSError,
-        ConfigError,
-        InstanceFormatError,
-        runner.InstanceLoadError,
-        runner.InstanceMismatchError,
-        runner.TooLargeError,
-        runner.TrialWorkerError,
-        IslandError,
-    ) as exc:
+    except (OSError, MqapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,10 +36,6 @@ import numpy as np
 from .instance import Instance
 
 
-class DimensionMismatchError(ValueError):
-    pass
-
-
 class Rows(NamedTuple):
     """A batch of solutions as rows: (P, n) int64 permutations, (P, m) int64 objectives."""
 
@@ -74,9 +70,7 @@ def evaluate_batch(instance: Instance, perms) -> np.ndarray:
         return np.empty((0, instance.m), dtype=np.int64)
     perms = np.asarray(perms, dtype=np.int64)
     if perms.ndim != 2 or perms.shape[1] != n:
-        raise DimensionMismatchError(
-            f"permutation length {perms.shape[1:]} does not match n={n}"
-        )
+        raise ValueError(f"permutation length {perms.shape[1:]} does not match n={n}")
     # An entry outside 0..n-1 would wrap around or overrun the inverse.
     inv = np.full_like(perms, -1)
     if perms.min() >= 0 and perms.max() < n:

@@ -14,6 +14,8 @@ from typing import IO, NamedTuple
 
 import numpy as np
 
+from . import MqapError
+
 # With n <= 100 and entries <= 10^4 the largest objective is ~1e12, far
 # below 2^63.  The load-time guard below enforces the general bound.
 _INT64_SAFE = 2**62
@@ -50,24 +52,8 @@ class SwapOperands(NamedTuple):
         return self.e.dtype
 
 
-class InstanceFormatError(ValueError):
-    """Malformed instance data (text or matrices)."""
-
-
-class EmptyInputError(InstanceFormatError):
-    pass
-
-
-class TokenCountMismatchError(InstanceFormatError):
-    pass
-
-
-class NegativeEntryError(InstanceFormatError):
-    pass
-
-
-class InfeasibleCorrelationError(ValueError):
-    """Requested flow correlation cannot be calibrated at this size."""
+class InstanceFormatError(MqapError, ValueError):
+    """Malformed instance or front data (text or matrices)."""
 
 
 @dataclass(eq=False)
@@ -99,7 +85,7 @@ class Instance:
                     f"matrix shape {mat.shape} does not match n={self.n}"
                 )
             if (mat < 0).any():
-                raise NegativeEntryError("matrix entries must be non-negative")
+                raise InstanceFormatError("matrix entries must be non-negative")
         max_d = int(self.distances.max())
         max_f = max(int(f.max()) for f in self.flows)
         # Every partial sum of a cost is a non-negative integer no larger
@@ -168,7 +154,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
     """
     metadata, data, _ = text_lines(source if isinstance(source, str) else source.read())
     if not data:
-        raise EmptyInputError("no numeric data found")
+        raise InstanceFormatError("no numeric data found")
     values = _int64_values("\n".join(data))
 
     n = int(values[0])
@@ -176,13 +162,9 @@ def parse_instance(source: str | IO[str]) -> Instance:
         raise InstanceFormatError(f"instance size must be >= 2, got {n}")
     body = values[1:]
     if len(body) < 2 * n * n:
-        raise TokenCountMismatchError(
-            f"expected at least {2 * n * n} matrix entries, got {len(body)}"
-        )
+        raise InstanceFormatError(f"expected at least {2 * n * n} matrix entries, got {len(body)}")
     if len(body) % (n * n) != 0:
-        raise TokenCountMismatchError(
-            f"{len(body)} entries do not form whole {n}x{n} matrices"
-        )
+        raise InstanceFormatError(f"{len(body)} entries do not form whole {n}x{n} matrices")
     mats = body.reshape(-1, n, n)
     name = metadata.pop("name", "")
     return Instance(
@@ -294,9 +276,7 @@ def generate_uniform(spec: InstanceSpec) -> Instance:
     against flow 1 to the requested level.
     """
     if spec.n < 5 and spec.correlation != 0.0:
-        raise InfeasibleCorrelationError(
-            f"cannot calibrate correlation {spec.correlation} with n={spec.n}"
-        )
+        raise ValueError(f"cannot calibrate correlation {spec.correlation} with n={spec.n}")
     rng = random.Random(spec.seed)
     n, lo, hi = spec.n, 1, spec.max_value
     cells = _off_diagonal_cells(n)

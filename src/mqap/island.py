@@ -28,6 +28,7 @@ from typing import Protocol
 
 import numpy as np
 
+from . import MqapError
 from .archive import Archive
 from .evaluation import Rows, evaluate
 from .genetics import (
@@ -74,9 +75,9 @@ class IslandConfig:
             raise ValueError(
                 f"migrants ({self.migrants}) may not exceed archive_capacity ({self.archive_capacity})"
             )
-        for name in ("pb_c", "pb_m"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for name, value in (("pc", self.pb_c), ("pm", self.pb_m)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if not self.ls_secs > 0:  # NaN too: it would switch local search off
             raise ValueError(f"ls_secs must be positive, got {self.ls_secs}")
         if self.time_budget is not None:
@@ -94,10 +95,6 @@ class Inbox(Protocol):
     def put(self, batch: tuple[np.ndarray, np.ndarray]) -> None: ...
 
     def get_nowait(self) -> tuple[np.ndarray, np.ndarray]: ...  # raises queue.Empty
-
-
-class IslandError(RuntimeError):
-    """An island of a fleet failed; the message names the island."""
 
 
 def check_migrants(inbox: Inbox, n: int, m: int) -> Rows:
@@ -303,7 +300,7 @@ def run_fleet(instance: Instance, config: IslandConfig, seeds: Sequence[int]) ->
 
     Island ``i`` runs ``seeds[i]``.  A lone island runs inline.  In a larger
     fleet island 0 runs in this process and every other island in one
-    forked child, all at once; an island that fails raises ``IslandError``
+    forked child, all at once; an island that fails raises an ``MqapError``
     naming it, after every child has been stopped.  ``islands`` lists the
     results in island-id order.
     """
@@ -337,7 +334,7 @@ def _run_forked(
         try:
             results = [run_island(config, instance, seeds[0], 0, inboxes)]
         except Exception as exc:
-            raise IslandError(f"island 0 failed: {exc!r}") from exc
+            raise MqapError(f"island 0 failed: {exc!r}") from exc
         results += [_receive(island_id, child, conn) for island_id, child, conn in children]
         # Every island is done and every child still alive: read away the
         # batches nobody drained, so that every queue feeder thread, here
@@ -369,7 +366,7 @@ def _run_forked(
 class _ChildFailure(Exception):
     """A forked island's exception as text: ``args`` are its own lines and its traceback.
 
-    The caller raises its ``IslandError`` from this, so the child's traceback shows as the cause.
+    The caller raises its ``MqapError`` from this, so the child's traceback shows as the cause.
     """
 
     def __str__(self) -> str:
@@ -404,11 +401,11 @@ def _receive(island_id: int, child, conn) -> IslandResult:
         message = conn.recv()
     except EOFError:
         child.join()
-        raise IslandError(
+        raise MqapError(
             f"island {island_id} exited with code {child.exitcode} before sending its result"
         ) from None
     if isinstance(message, _ChildFailure):
-        raise IslandError(f"island {island_id} failed: {message.args[0]}") from message
+        raise MqapError(f"island {island_id} failed: {message.args[0]}") from message
     return message
 
 

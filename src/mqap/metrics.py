@@ -25,10 +25,6 @@ import numpy as np
 Point = tuple[float, ...]
 
 
-class EmptyUnionError(ValueError):
-    pass
-
-
 class DegenerateSampleError(ValueError):
     pass
 
@@ -43,7 +39,7 @@ def normalize_fronts(fronts) -> tuple[list[np.ndarray], tuple[np.ndarray, np.nda
     arrays = [np.asarray(front, dtype=np.float64) for front in fronts]
     filled = [a for a in arrays if a.size]
     if not filled:
-        raise EmptyUnionError("no points to normalize")
+        raise ValueError("no points to normalize")
     union = np.concatenate(filled)
     lo, hi = union.min(axis=0), union.max(axis=0)
     # A constant column has f - lo == 0 everywhere, and 0 / 1 is 0.
@@ -56,7 +52,7 @@ def reference_point(global_front, offset: float = 0.01) -> Point:
     """Componentwise maximum of the global front plus a small offset."""
     points = np.asarray(global_front, dtype=np.float64)
     if not points.size:
-        raise EmptyUnionError("cannot place a reference point on an empty front")
+        raise ValueError("cannot place a reference point on an empty front")
     return tuple((points.max(axis=0) + offset).tolist())
 
 

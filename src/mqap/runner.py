@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics
+from . import MqapError, __version__, metrics
 from .evaluation import Rows, evaluate
 from .instance import (
     Instance,
@@ -28,7 +28,7 @@ from .instance import (
     load_instance,
     text_lines,
 )
-from .island import IslandConfig, IslandError, IslandStats, run_fleet
+from .island import IslandConfig, IslandStats, run_fleet
 from .ranking import non_dominated_mask
 
 MANIFEST_NAME = "manifest.json"
@@ -40,31 +40,11 @@ _BAR = " | "
 _DIGITS = str.maketrans("", "", "0123456789")
 
 
-class InstanceLoadError(ValueError):
-    pass
-
-
-class OutputWriteError(OSError):
-    pass
-
-
-class TooLargeError(ValueError):
-    pass
-
-
-class InstanceMismatchError(ValueError):
-    pass
-
-
-class TrialWorkerError(RuntimeError):
-    """A forked trial worker of ``parallel_trials`` died without a result."""
-
-
 def load_instance_checked(path) -> Instance:
     try:
         return load_instance(path)
     except (OSError, InstanceFormatError, UnicodeDecodeError) as exc:
-        raise InstanceLoadError(f"cannot load {path}: {exc}") from exc
+        raise MqapError(f"cannot load {path}: {exc}") from exc
 
 
 def default_population(island_count: int) -> int:
@@ -99,15 +79,15 @@ class ExperimentConfig(IslandConfig):
     def __post_init__(self):
         for name, value, low in (
             ("trials", self.trials, 1),
-            ("island_count", self.island_count, 1),
+            ("islands", self.island_count, 1),
             ("parallel_trials", self.parallel_trials, 1),
             # random.Random seeds with abs(), so seed -s would replay seed s.
             ("seed", self.base_seed, 0),
         ):
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if self.instance_path is None and self.gen_spec is None:
-            raise ValueError("either an instance path or a generator spec is required")
+        if (self.instance_path is None) == (self.gen_spec is None):
+            raise ValueError("exactly one of --instance and --gen-spec is required")
         if self.population is None:
             self.population = default_population(self.island_count)
         super().__post_init__()
@@ -118,7 +98,7 @@ class ExperimentConfig(IslandConfig):
         try:
             return generate_uniform(self.gen_spec)
         except ValueError as exc:
-            raise InstanceLoadError(f"cannot generate an instance: {exc}") from exc
+            raise MqapError(f"cannot generate an instance: {exc}") from exc
 
 
 @dataclass
@@ -155,7 +135,7 @@ def write_front_file(path, perms: np.ndarray, objs: np.ndarray, header: dict[str
     try:
         Path(path).write_text(front_text(perms, objs, header), encoding="utf-8")
     except OSError as exc:
-        raise OutputWriteError(f"cannot write {path}: {exc}") from exc
+        raise MqapError(f"cannot write {path}: {exc}") from exc
 
 
 def read_front_file(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
@@ -215,13 +195,13 @@ def _read_per_line(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
     objectives = [row[2].split() for row in rows]
     for number, perm, objs in zip(numbers, perms, objectives):
         if not objs:
-            raise ValueError(f"line {number} holds no objectives")
+            raise InstanceFormatError(f"line {number} holds no objectives")
         if len(objs) != len(objectives[0]):
-            raise ValueError(
+            raise InstanceFormatError(
                 f"line {number} holds {len(objs)} objectives, the first row {len(objectives[0])}"
             )
         if len(perm) != len(perms[0]):
-            raise ValueError(
+            raise InstanceFormatError(
                 f"line {number} holds a permutation of {len(perm)}, the first row {len(perms[0])}"
             )
     texts = [" ".join(perm + objs) for perm, objs in zip(perms, objectives)]
@@ -233,7 +213,7 @@ def _read_per_line(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
             try:
                 _int64_values(row)
             except InstanceFormatError as exc:
-                raise ValueError(f"line {number}: {exc}") from exc
+                raise InstanceFormatError(f"line {number}: {exc}") from exc
         raise
     n = len(perms[0])
     values = values.reshape(len(lines), -1)
@@ -245,8 +225,8 @@ def _run_trial(instance, config, out_dir, instance_name, index) -> TrialRecord:
     seeds = [island_seed(seed, i) for i in range(config.island_count)]
     try:
         fleet = run_fleet(instance, config, seeds)
-    except IslandError as exc:
-        raise IslandError(f"trial {index} (seed {seed}): {exc}") from exc
+    except MqapError as exc:
+        raise MqapError(f"trial {index} (seed {seed}): {exc}") from exc
     name = f"trial_{index:04d}.front"
     write_front_file(
         out_dir / name,
@@ -294,7 +274,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise OutputWriteError(f"cannot create {out_dir}: {exc}") from exc
+        raise MqapError(f"cannot create {out_dir}: {exc}") from exc
 
     result = RunResult(instance_name=instance.name or "unnamed")
     trial = functools.partial(_run_trial, instance, config, out_dir, result.instance_name)
@@ -313,7 +293,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             ) as pool:
                 result.trials = list(pool.map(trial, range(config.trials)))
         except BrokenProcessPool as exc:
-            raise TrialWorkerError("a trial worker process died before it returned its trial") from exc
+            raise MqapError("a trial worker process died before it returned its trial") from exc
     else:
         result.trials = [trial(i) for i in range(config.trials)]
 
@@ -333,16 +313,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
         )
     except OSError as exc:
-        raise OutputWriteError(f"cannot write manifest: {exc}") from exc
+        raise MqapError(f"cannot write manifest: {exc}") from exc
     return result
 
 
 def enumerate_front(instance: Instance) -> Rows:
     """Exact non-dominated set by full permutation enumeration (n <= ENUMERATION_LIMIT)."""
     if instance.n > ENUMERATION_LIMIT:
-        raise TooLargeError(
-            f"enumeration of n={instance.n} exceeds the n<={ENUMERATION_LIMIT} guard"
-        )
+        raise MqapError(f"enumeration of n={instance.n} exceeds the n<={ENUMERATION_LIMIT} guard")
     n = instance.n
     front = Rows(np.empty((0, n), dtype=np.int64), np.empty((0, instance.m), dtype=np.int64))
     # The permutations' entries one after another, read straight into each int64 batch.
@@ -396,16 +374,16 @@ def load_result_set(directory) -> ResultSet:
         )
         front_paths = [path / rec["front_file"] for rec in records]
     except FileNotFoundError:
-        raise InstanceLoadError(f"{directory} has no {MANIFEST_NAME}") from None
+        raise MqapError(f"{directory} has no {MANIFEST_NAME}") from None
     except (ValueError, KeyError, TypeError) as exc:
-        raise InstanceLoadError(f"{manifest_path} is not a valid result manifest: {exc!r}") from exc
+        raise MqapError(f"{manifest_path} is not a valid result manifest: {exc!r}") from exc
     if not front_paths:
-        raise InstanceLoadError(f"{manifest_path} lists no trial records")
+        raise MqapError(f"{manifest_path} lists no trial records")
     for front_path in front_paths:
         try:
             _, _, objectives = read_front_file(front_path)
-        except ValueError as exc:
-            raise InstanceLoadError(f"{front_path}: {exc}") from exc
+        except (InstanceFormatError, UnicodeDecodeError) as exc:
+            raise MqapError(f"{front_path}: {exc}") from exc
         result.fronts.append(objectives.astype(np.float64))
     return result
 
@@ -423,16 +401,16 @@ def compare_result_sets(
         by_instance.setdefault(rs.instance, []).append(rs)
     for instance_name, group in by_instance.items():
         if len(group) < 2:
-            raise InstanceMismatchError(
+            raise MqapError(
                 f"instance {instance_name!r} appears in only one result set; "
                 "nothing to compare it against"
             )
         if not any(len(front) for rs in group for front in rs.fronts):
-            raise InstanceMismatchError(f"instance {instance_name!r} has no points in any front")
+            raise MqapError(f"instance {instance_name!r} has no points in any front")
         widths = {rs.directory: {f.shape[1] for f in rs.fronts if len(f)} for rs in group}
         if len(set().union(*widths.values())) > 1:
             listed = ", ".join(f"{d}: {sorted(w)}" for d, w in widths.items())
-            raise InstanceMismatchError(
+            raise MqapError(
                 f"instance {instance_name!r} has fronts with different objective counts ({listed})"
             )
 

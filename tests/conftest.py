@@ -7,8 +7,7 @@ import pytest
 
 import mqap.archive
 from mqap import Archive, Instance
-from mqap.evaluation import DimensionMismatchError
-from mqap.metrics import EmptyUnionError, _hv2, _hv3
+from mqap.metrics import _hv2, _hv3
 from mqap.ranking import front_crowding, non_dominated_mask, pareto_ranks
 
 
@@ -97,7 +96,7 @@ def evaluate_delta(instance: Instance, perm, i: int, j: int) -> tuple[int, ...]:
     """
     n = instance.n
     if not (0 <= i < n and 0 <= j < n):
-        raise DimensionMismatchError(f"swap positions ({i}, {j}) out of range for n={n}")
+        raise ValueError(f"swap positions ({i}, {j}) out of range for n={n}")
     if i == j:
         return (0,) * instance.m
     d = instance.distances
@@ -216,7 +215,7 @@ def tuple_normalize_fronts(fronts):
     """Normalisation oracle, point by point on tuples: min/max over the union of fronts."""
     union = [p for front in fronts for p in front]
     if not union:
-        raise EmptyUnionError("no points to normalize")
+        raise ValueError("no points to normalize")
     m = len(union[0])
     mins = tuple(min(p[r] for p in union) for r in range(m))
     maxs = tuple(max(p[r] for p in union) for r in range(m))

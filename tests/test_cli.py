@@ -1,4 +1,6 @@
+import importlib
 import json
+import pkgutil
 import re
 from dataclasses import fields
 
@@ -6,12 +8,10 @@ import numpy as np
 import pytest
 
 import mqap
-from mqap import Instance, evaluate_batch, load_instance
+from mqap import Instance, MqapError, evaluate_batch, load_instance
 from mqap.cli import build_parser, main, parse_config_file, parse_gen_spec
 from mqap.runner import (
     ExperimentConfig,
-    InstanceMismatchError,
-    TooLargeError,
     default_population,
     enumerate_front,
     load_result_set,
@@ -178,7 +178,7 @@ def test_enumerate_guard():
     from mqap.instance import InstanceSpec, generate_uniform
 
     big = generate_uniform(InstanceSpec(n=11, m=2, correlation=0.0, seed=0))
-    with pytest.raises(TooLargeError):
+    with pytest.raises(MqapError, match="exceeds the n<=10 guard"):
         enumerate_front(big)
 
 
@@ -238,6 +238,8 @@ def _write_bad_inputs(directory):
     # The second flow matrix's rows start with a sign: data, not comments.
     (directory / "signed.qap").write_text("2\n0 1\n1 0\n0 3\n2 0\n-1 4\n-2 0\n", encoding="utf-8")
     (directory / "latin1.qap").write_bytes("! name=café\n2\n0 1\n1 0\n0 3\n2 0\n".encode("latin-1"))
+    (directory / "latin1.front").write_bytes("! instance=café\n0 1 | 3 4\n".encode("latin-1"))
+    (directory / "tiny.qap").write_text("2\n0 1\n1 0\n0 3\n2 0\n", encoding="utf-8")
     for name, manifest in (
         ("not-json", "{trial_records"),
         ("no-records", '{"instance": "x"}'),
@@ -246,17 +248,18 @@ def _write_bad_inputs(directory):
     ):
         (directory / name).mkdir()
         (directory / name / "manifest.json").write_text(manifest, encoding="utf-8")
-    # One-trial result directories: a valid one, one whose front holds no points, and two
+    # One-trial result directories: a valid one, one whose front holds no points, and three
     # whose fronts the reader rejects.
-    for name, instance, front in (
-        ("one-trial", "demo", "0 1 | 25 75\n"),
-        ("no-points", "blank", ""),
-        ("huge-trial", "demo", "0 1 | 25 75\n1 0 | 5 99999999999999999999\n"),
-        ("ragged-trial", "demo", "0 1 | 25 75\n1 0 | 5 6 7\n"),
+    for name, instance, front, encoding in (
+        ("one-trial", "demo", "0 1 | 25 75\n", "utf-8"),
+        ("no-points", "blank", "", "utf-8"),
+        ("huge-trial", "demo", "0 1 | 25 75\n1 0 | 5 99999999999999999999\n", "utf-8"),
+        ("ragged-trial", "demo", "0 1 | 25 75\n1 0 | 5 6 7\n", "utf-8"),
+        ("latin1-trial", "café", "0 1 | 25 75\n", "latin-1"),
     ):
         (directory / name).mkdir()
         (directory / name / "trial_0000.front").write_text(
-            f"! instance={instance}\n{front}", encoding="utf-8"
+            f"! instance={instance}\n{front}", encoding=encoding
         )
         manifest = {"instance": instance, "algorithm": "memetic", "islands": 1,
                     "trial_records": [{"trial": 0, "seed": 0, "front_file": "trial_0000.front"}]}
@@ -332,6 +335,19 @@ BAD_INPUTS = [
     ("compare-no-points", ["compare", "no-points", "no-points"], "blank"),
     ("compare-objective-beyond-int64", ["compare", "huge-trial", "one-trial"], "line 3"),
     ("compare-ragged-front", ["compare", "one-trial", "ragged-trial"], "trial_0000.front: line 3"),
+    ("instance-and-gen-spec",
+     ["run", "--instance", "tiny.qap", "--gen-spec", "n=7,m=3", "--trials", 1, "--generations", 1],
+     "--gen-spec"),
+    ("run-out-under-a-file",
+     ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--out", "two.front/r"],
+     "two.front/r"),
+    ("enumerate-out-in-missing-dir",
+     ["enumerate", "--instance", "tiny.qap", "--out", "nodir/e.front"], "nodir/e.front"),
+    ("gen-out-in-missing-dir", ["gen", "--n", 5, "--m", 2, "--out", "nodir/x.qap"], "nodir/x.qap"),
+    ("compare-csv-in-missing-dir",
+     ["compare", "one-trial", "one-trial", "--csv", "nodir/c.csv"], "nodir/c.csv"),
+    ("hv-front-not-utf8", ["hv", "--front", "latin1.front"], "latin1.front"),
+    ("compare-front-not-utf8", ["compare", "latin1-trial", "one-trial"], "trial_0000.front"),
 ]
 
 
@@ -341,7 +357,7 @@ BAD_INPUTS = [
 def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, named):
     monkeypatch.chdir(tmp_path)
     _write_bad_inputs(tmp_path)
-    if argv[0] == "run":
+    if argv[0] == "run" and "--out" not in argv:
         argv = argv + ["--out", "results"]
     assert _run(argv) == 2
     err = capsys.readouterr().err
@@ -354,7 +370,8 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, ar
 @pytest.mark.parametrize(
     "setting, value",
     [("archive_capacity", 0), ("epoch", 0), ("migrants", 0), ("population", 1), ("parallel_trials", 0),
-     ("generations", -1), ("seed", -1), ("time_budget_secs", "nan")],
+     ("generations", -1), ("seed", -1), ("time_budget_secs", "nan"), ("islands", 0), ("pc", 2),
+     ("pm", -1)],
     ids=lambda v: str(v),
 )
 def test_bad_run_setting_is_named_in_the_error(tmp_path, capsys, setting, value):
@@ -366,6 +383,17 @@ def test_bad_run_setting_is_named_in_the_error(tmp_path, capsys, setting, value)
     err = capsys.readouterr().err
     # As a whole word: population_size or g_max would name the island field.
     assert err.startswith("error: ") and re.search(rf"\b{setting}\b", err), err
+
+
+def test_every_exception_class_is_an_mqap_error():
+    # cli.main reports MqapError and OSError; any other class would end in a traceback.
+    internal = {mqap.metrics.DegenerateSampleError, mqap.island._ChildFailure}
+    names = [info.name for info in pkgutil.iter_modules(mqap.__path__)]
+    for module in [mqap] + [importlib.import_module(f"mqap.{name}") for name in names]:
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                assert issubclass(obj, MqapError) or obj in internal, obj
 
 
 def test_manifest_holds_every_resolved_setting(tmp_path):
@@ -462,7 +490,7 @@ def test_compare_instance_mismatch(tmp_path, capsys):
     sets = [load_result_set(tmp_path / "x"), load_result_set(tmp_path / "y")]
     from mqap.runner import compare_result_sets
 
-    with pytest.raises(InstanceMismatchError):
+    with pytest.raises(MqapError, match="appears in only one result set"):
         compare_result_sets(sets)
     # The CLI reports domain errors instead of dumping a traceback.
     assert _run(["compare", tmp_path / "x", tmp_path / "y"]) == 2
@@ -477,7 +505,7 @@ def test_compare_rejects_fronts_with_different_objective_counts(tmp_path, capsys
     from mqap.runner import compare_result_sets
 
     sets = [load_result_set(tmp_path / "two"), load_result_set(tmp_path / "three")]
-    with pytest.raises(InstanceMismatchError, match="objective counts"):
+    with pytest.raises(MqapError, match="objective counts"):
         compare_result_sets(sets)
     assert _run(["compare", tmp_path / "two", tmp_path / "three"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

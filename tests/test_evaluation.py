@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mqap import Instance, evaluate_batch
-from mqap.evaluation import DimensionMismatchError, swap_delta_matrix
+from mqap.evaluation import swap_delta_matrix
 from mqap.genetics import Rng, random_permutations
 from mqap.instance import _INT64_SAFE
 
@@ -29,7 +29,7 @@ def test_zero_flows():
 
 def test_wrong_length_rejected():
     inst = Instance(n=3, distances=np.ones((3, 3)), flows=(np.ones((3, 3)),))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="does not match n=3"):
         evaluate_batch(inst, [[0, 1]])
 
 
@@ -72,11 +72,11 @@ def test_batch_is_exact_just_under_the_int64_guard():
 
 def test_batch_rejects_wrong_length_and_non_permutations():
     inst = Instance(n=3, distances=np.ones((3, 3)), flows=(np.ones((3, 3)),))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="does not match n=3"):
         evaluate_batch(inst, np.zeros((2, 4), dtype=np.int64))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="does not match n=3"):
         evaluate_batch(inst, [0, 1, 2])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="does not match n=3"):
         evaluate_batch(inst, [[0, 1]])
     with pytest.raises(ValueError, match="permutations"):
         evaluate_batch(inst, [[0, 1, 2], [0, 0, 2]])
@@ -157,7 +157,7 @@ def test_delta_same_position_is_zero(np_rng):
 
 def test_delta_out_of_range(np_rng):
     inst = random_instance(np_rng, 5, 1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="out of range for n=5"):
         evaluate_delta(inst, np_rng.permutation(5), 0, 5)
 
 

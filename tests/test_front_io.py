@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mqap import runner
+from mqap import MqapError, runner
 from mqap.cli import main
 from mqap.runner import load_result_set, read_front_file, write_front_file
 
@@ -198,8 +198,8 @@ def test_run_and_enumerate_output_never_reaches_the_per_line_reader(
 
 
 def test_result_set_without_manifest_is_named(tmp_path):
-    with pytest.raises(runner.InstanceLoadError, match="has no manifest.json"):
+    with pytest.raises(MqapError, match="has no manifest.json"):
         load_result_set(tmp_path)
-    with pytest.raises(runner.InstanceLoadError, match="has no manifest.json"):
+    with pytest.raises(MqapError, match="has no manifest.json"):
         load_result_set(tmp_path / "missing")
 

@@ -146,7 +146,8 @@ def test_tournament_empty_pool():
 
 
 def test_variation_params_validation():
-    with pytest.raises(ValueError, match="pb_c"):
+    # The messages name the `mqap run` flags, --pc and --pm.
+    with pytest.raises(ValueError, match=r"^pc must lie in \[0, 1\], got 1.2$"):
         IslandConfig(pb_c=1.2)
-    with pytest.raises(ValueError, match="pb_m"):
+    with pytest.raises(ValueError, match=r"^pm must lie in \[0, 1\], got -0.1$"):
         IslandConfig(pb_m=-0.1)

@@ -18,6 +18,7 @@ import mqap.island
 from mqap import (
     Archive,
     IslandConfig,
+    MqapError,
     Rng,
     check_migrants,
     evaluate,
@@ -28,10 +29,10 @@ from mqap import (
 from mqap.cli import main
 from mqap.genetics import random_permutations, tournament_select
 from mqap.instance import InstanceSpec, generate_uniform
-from mqap.island import IslandError, send_migrants
+from mqap.island import send_migrants
 from mqap.metrics import hypervolume, normalize_fronts, reference_point
 from mqap.ranking import rank_and_crowd
-from mqap.runner import ExperimentConfig, TrialWorkerError, island_seed, run_experiment
+from mqap.runner import ExperimentConfig, island_seed, run_experiment
 
 from conftest import brute_force_non_dominated, dominates, non_dominated
 
@@ -225,7 +226,7 @@ def test_fleet_failure_names_the_island_and_leaves_no_process(
     # Forked children inherit the patched module global.
     monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how))
     config = _config(algorithm="nsga2", generations=30)
-    with pytest.raises(IslandError) as excinfo:
+    with pytest.raises(MqapError, match=f"island {failing_id} ") as excinfo:
         run_fleet(_instance(n=8), config, [40, 41, 42])
     assert f"island {failing_id}" in str(excinfo.value)
     assert expected in str(excinfo.value)
@@ -364,7 +365,7 @@ def test_island_failure_in_a_pooled_trial_names_the_island(
 ):
     # Forked trial workers and their islands inherit the patched module global.
     monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how))
-    with pytest.raises(IslandError) as excinfo:
+    with pytest.raises(MqapError, match=rf"^trial 0 \(seed 1\): island {failing_id} ") as excinfo:
         _within(60, lambda: run_experiment(_trial_config(tmp_path, trials=2)))
     assert str(excinfo.value).startswith(f"trial 0 (seed 1): island {failing_id} ")
     assert expected in str(excinfo.value)
@@ -391,7 +392,7 @@ def test_dying_trial_process_ends_the_run_with_an_error(tmp_path, monkeypatch):
     pid_dir.mkdir()
     monkeypatch.setattr(mqap.island, "run_island", _dying_trial(pid_dir))
     try:
-        with pytest.raises(TrialWorkerError) as excinfo:
+        with pytest.raises(MqapError, match="a trial worker process died") as excinfo:
             _within(30, lambda: run_experiment(_trial_config(tmp_path / "out", trials=2)))
     finally:  # a hung pool waits on these children
         _wait_gone([int(p.name) for p in pid_dir.iterdir()])

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from mqap import hypervolume, normalize_fronts, reference_point, wilcoxon_rank_sum
-from mqap.metrics import DegenerateSampleError, EmptyUnionError
+from mqap.metrics import DegenerateSampleError
 from mqap.runner import compare_result_sets, load_result_set
 
 from conftest import (
@@ -43,7 +43,7 @@ def test_normalize_degenerate_dimension():
 
 
 def test_normalize_empty_union():
-    with pytest.raises(EmptyUnionError):
+    with pytest.raises(ValueError, match="no points to normalize"):
         normalize_fronts([[], []])
 
 
