@@ -162,6 +162,14 @@ def cmd_compare(args) -> int:
         raise MqapError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     sets = [load_result_set(d) for d in args.result_dirs]
     rows = compare_result_sets(sets, alpha=args.alpha)
+    if args.csv:  # before the report, so that a path that cannot be written prints none
+        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["instance", "label", "trial", "hypervolume"])
+            for row in rows:
+                for label, hvs in zip(row.labels, row.per_trial):
+                    for trial, value in enumerate(hvs):
+                        writer.writerow([row.instance, label, trial, f"{value:.6f}"])
     for row in rows:
         print(f"instance {row.instance} (mean normalized hypervolume)")
         for idx, (label, mean) in enumerate(zip(row.labels, row.means)):
@@ -174,13 +182,6 @@ def cmd_compare(args) -> int:
             verdict = f"significant at {args.alpha:g}" if significant else "not significant"
             print(f"  rank-sum {a} vs {b}: p={p:.4f} ({verdict})")
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["instance", "label", "trial", "hypervolume"])
-            for row in rows:
-                for label, hvs in zip(row.labels, row.per_trial):
-                    for trial, value in enumerate(hvs):
-                        writer.writerow([row.instance, label, trial, f"{value:.6f}"])
         print(f"per-trial hypervolumes written to {args.csv}")
     return 0
 

@@ -12,13 +12,15 @@ a (P, n) int64 permutation array and a (P, m) int64 objective array.
 
 A fleet runs in processes: island 0 in the calling process and every other
 island in a child forked from it (Linux ``fork``), with one
-``multiprocessing`` queue as each island's inbox.  A child sends its
-archive back as it stands.  A lone island runs inline and forks nothing.
+``multiprocessing`` queue as each island's inbox.  A child ends with its
+caller and sends its archive back as it stands, or its traceback.  A lone
+island runs inline and forks nothing.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import queue
 import time
 import traceback
@@ -300,9 +302,11 @@ def run_fleet(instance: Instance, config: IslandConfig, seeds: Sequence[int]) ->
 
     Island ``i`` runs ``seeds[i]``.  A lone island runs inline.  In a larger
     fleet island 0 runs in this process and every other island in one
-    forked child, all at once; an island that fails raises an ``MqapError``
-    naming it, after every child has been stopped.  ``islands`` lists the
-    results in island-id order.
+    forked child, all at once.  Every child is stopped before a failure
+    propagates: island 0's exception as itself, a child's as a
+    ``RuntimeError`` naming its island and seed and holding its traceback,
+    and a child that exits before it reports as an ``MqapError``.
+    ``islands`` lists the results in island-id order.
     """
     start = time.monotonic()
     if not seeds:
@@ -318,39 +322,34 @@ def run_fleet(instance: Instance, config: IslandConfig, seeds: Sequence[int]) ->
 def _run_forked(
     instance: Instance, config: IslandConfig, seeds: Sequence[int]
 ) -> list[IslandResult]:
-    import multiprocessing  # only fleets pay for its import
+    import ctypes  # noqa: F401  imported once here, not in each child's _end_with_caller
+    import multiprocessing  # only fleets pay for these imports
 
     ctx = multiprocessing.get_context("fork")
     inboxes = [ctx.Queue() for _ in seeds]
     children = []
     try:
         for island_id, seed in enumerate(seeds[1:], start=1):
-            here, there = ctx.Pipe()
-            args = (config, instance, seed, island_id, inboxes, there, here)
+            here, there = ctx.Pipe(duplex=False)
+            args = (config, instance, seed, island_id, inboxes, there, os.getpid())
             child = ctx.Process(target=_island_child, args=args, daemon=True)
             child.start()
             there.close()  # so a child that dies unheard gives EOFError, not a hang
-            children.append((island_id, child, here))
-        try:
-            results = [run_island(config, instance, seeds[0], 0, inboxes)]
-        except Exception as exc:
-            raise MqapError(f"island 0 failed: {exc!r}") from exc
-        results += [_receive(island_id, child, conn) for island_id, child, conn in children]
-        # Every island is done and every child still alive: read away the
-        # batches nobody drained, so that every queue feeder thread, here
-        # and in the children, can flush and exit, then release the children.
+            children.append((island_id, seed, child, here))
+        results = [run_island(config, instance, seeds[0], 0, inboxes)]
+        results += [_receive(*entry) for entry in children]
+        # Every island is done: read away the batches nobody drained, so that
+        # every queue feeder thread, here and in the exiting children, can flush.
         for inbox in inboxes:
             _discard_unread(inbox)
-        for _, _, conn in children:
-            conn.send(None)
     except BaseException:
         # A killed child can die holding a queue's write lock; a feeder
         # thread here that then waits on it stays blocked, but never joined.
-        for _, child, _ in children:
+        for _, _, child, _ in children:
             child.terminate()
         raise
     finally:
-        for _, child, conn in children:
+        for _, _, child, conn in children:
             child.join()
             # With fleets on several threads, another thread's Process.start may have
             # reaped the child and not yet stored its exit code; close() would then raise.
@@ -363,40 +362,38 @@ def _run_forked(
     return results
 
 
-class _ChildFailure(Exception):
-    """A forked island's exception as text: ``args`` are its own lines and its traceback.
+def _end_with_caller(caller: int) -> None:
+    """Make this forked process get SIGTERM when the thread that forked it ends.
 
-    The caller raises its ``MqapError`` from this, so the child's traceback shows as the cause.
+    ``caller`` is the forking process's pid.  If it is no longer this
+    process's parent, the caller died before the signal was set, and this
+    process exits at once.  Trial workers and island children call this first.
     """
+    import ctypes
+    import signal
 
-    def __str__(self) -> str:
-        return self.args[1]
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG, Linux only
+    if os.getppid() != caller:
+        os._exit(1)  # the caller died before the signal was set
 
 
-def _island_child(config, instance, seed, island_id, inboxes, conn, callers_end) -> None:
-    """A forked island: send back its result (archive as it stands, and stats), or its failure.
+def _island_child(config, instance, seed, island_id, inboxes, conn, caller) -> None:
+    """A forked island: send back its result (archive as it stands, and stats), or its traceback.
 
-    The child then waits for the caller's word to exit, so that its queue
-    feeder threads can finish writing while the caller drains the inboxes.
-    If the caller dies, the wait ends with EOF: the child closes its copy of
-    the caller's end, and a sibling forked later drops its copy on exit.
+    The child ends with the caller.  At its exit, its queue feeder threads
+    finish writing while the caller drains the inboxes.
     """
-    callers_end.close()
-    for inbox in inboxes:
-        inbox.cancel_join_thread()  # an orphan must not wait on pipes nobody reads
+    _end_with_caller(caller)
     try:
         message = run_island(config, instance, seed, island_id, inboxes)
-    except Exception as exc:
-        summary = "".join(traceback.format_exception_only(exc)).strip()
-        message = _ChildFailure(summary, traceback.format_exc())
-    try:
-        conn.send(message)
-        conn.recv()
-    except (EOFError, OSError):
-        pass  # the caller is gone
+    except Exception:
+        message = traceback.format_exc()
+    conn.send(message)
 
 
-def _receive(island_id: int, child, conn) -> IslandResult:
+def _receive(island_id: int, seed: int, child, conn) -> IslandResult:
     try:
         message = conn.recv()
     except EOFError:
@@ -404,8 +401,8 @@ def _receive(island_id: int, child, conn) -> IslandResult:
         raise MqapError(
             f"island {island_id} exited with code {child.exitcode} before sending its result"
         ) from None
-    if isinstance(message, _ChildFailure):
-        raise MqapError(f"island {island_id} failed: {message.args[0]}") from message
+    if isinstance(message, str):
+        raise RuntimeError(f"island {island_id} (seed {seed}) failed:\n{message.rstrip()}")
     return message
 
 

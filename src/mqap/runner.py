@@ -28,7 +28,7 @@ from .instance import (
     load_instance,
     text_lines,
 )
-from .island import IslandConfig, IslandStats, run_fleet
+from .island import IslandConfig, IslandStats, _end_with_caller, run_fleet
 from .ranking import non_dominated_mask
 
 MANIFEST_NAME = "manifest.json"
@@ -246,22 +246,6 @@ def _run_trial(instance, config, out_dir, instance_name, index) -> TrialRecord:
         wall_time=fleet.wall_time,
         islands=[r.stats for r in fleet.islands],
     )
-
-
-def _end_with_caller(caller: int) -> None:
-    """Trial worker initializer: the worker gets SIGTERM when the thread that forked it ends.
-
-    A fork clears that signal, so a worker's island children keep their own
-    exit on EOF.
-    """
-    import ctypes
-    import signal
-
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG, Linux only
-    if os.getppid() != caller:
-        os._exit(1)  # the caller died before the signal was set
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:

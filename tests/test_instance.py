@@ -29,8 +29,8 @@ def test_parse_comment_and_flow_inference():
 
 
 def test_parse_trailing_tokens_rejected():
-    with pytest.raises(InstanceFormatError, match="expected at least 8 matrix entries, got 7"):
-        parse_instance("2\n0 1\n1 0\n0 3 2")
+    with pytest.raises(InstanceFormatError, match="9 entries do not form whole 2x2 matrices"):
+        parse_instance("2\n0 1\n1 0\n0 3\n2 0\n5")
 
 
 def test_parse_missing_flow_matrix_rejected():

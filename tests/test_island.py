@@ -213,10 +213,22 @@ def _failing_island(failing_id, how, trial_seed=None):
 
 
 ISLAND_FAILURES = [
-    (0, "raise", "island 0 failed: RuntimeError('injected island failure')"),
+    (0, "raise", "injected island failure"),
     (1, "raise", "RuntimeError: injected island failure"),
     (1, "exit", "island 1 exited with code 3 before sending its result"),
 ]
+
+
+def _raises(how):
+    """Only an island that exits is a failure mqap reports; one that raises is a bug."""
+    return pytest.raises(MqapError if how == "exit" else RuntimeError)
+
+
+def _assert_names_the_failure(message, failing_id, how, expected, seed):
+    """Island 0's bug is itself; a child's names its island and seed and holds its traceback."""
+    assert expected in message
+    if how == "raise" and failing_id:
+        assert f"island {failing_id} (seed {seed}) failed:\nTraceback" in message
 
 
 @pytest.mark.parametrize("failing_id, how, expected", ISLAND_FAILURES)
@@ -226,10 +238,9 @@ def test_fleet_failure_names_the_island_and_leaves_no_process(
     # Forked children inherit the patched module global.
     monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how))
     config = _config(algorithm="nsga2", generations=30)
-    with pytest.raises(MqapError, match=f"island {failing_id} ") as excinfo:
+    with _raises(how) as excinfo:
         run_fleet(_instance(n=8), config, [40, 41, 42])
-    assert f"island {failing_id}" in str(excinfo.value)
-    assert expected in str(excinfo.value)
+    _assert_names_the_failure(str(excinfo.value), failing_id, how, expected, seed=40 + failing_id)
     assert multiprocessing.active_children() == []
 
 
@@ -365,10 +376,12 @@ def test_island_failure_in_a_pooled_trial_names_the_island(
 ):
     # Forked trial workers and their islands inherit the patched module global.
     monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how))
-    with pytest.raises(MqapError, match=rf"^trial 0 \(seed 1\): island {failing_id} ") as excinfo:
+    with _raises(how) as excinfo:
         _within(60, lambda: run_experiment(_trial_config(tmp_path, trials=2)))
-    assert str(excinfo.value).startswith(f"trial 0 (seed 1): island {failing_id} ")
-    assert expected in str(excinfo.value)
+    message = str(excinfo.value)
+    if how == "exit":
+        assert message.startswith(f"trial 0 (seed 1): island {failing_id} ")
+    _assert_names_the_failure(message, failing_id, how, expected, seed=island_seed(1, failing_id))
     assert multiprocessing.active_children() == []
 
 
@@ -417,10 +430,17 @@ def test_run_command_reports_a_failed_island(
     # Of the trials seeded 7 and 8, only the second fails.
     monkeypatch.setattr(mqap.island, "run_island", _failing_island(failing_id, how, trial_seed=8))
     argv = _run_argv(tmp_path, parallel_trials) + ["--seed", "7"]
-    assert _within(60, lambda: main(argv)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: trial 1 (seed 8): island {failing_id} ") and expected in err
-    assert "Traceback" not in err and len(err.splitlines()) == 1
+    if how == "raise":  # a bug: main passes it on, and the interpreter prints its traceback
+        with _raises(how) as excinfo:
+            _within(60, lambda: main(argv))
+        seed = island_seed(8, failing_id)
+        _assert_names_the_failure(str(excinfo.value), failing_id, how, expected, seed)
+        assert "error:" not in capsys.readouterr().err
+    else:
+        assert _within(60, lambda: main(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: trial 1 (seed 8): island {failing_id} ") and expected in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
     assert multiprocessing.active_children() == []
 
 
@@ -447,7 +467,7 @@ original = mqap.island.run_island
 def run_island(config, instance, seed, island_id=0, *args):
     result = original(config, instance, seed, island_id, *args)
     if island_id == 0:
-        time.sleep(1.0)  # island 1 has sent its result and waits for word to exit
+        time.sleep(1.0)  # island 1 has sent its result by now
         os._exit(3)
     with open(sys.argv[1], "w") as handle:
         handle.write(str(os.getpid()))
@@ -471,6 +491,43 @@ def test_island_child_exits_when_its_caller_dies(tmp_path):
     )
     assert caller.returncode == 3
     _wait_gone([int(pid_file.read_text())], seconds=5.0)
+
+
+_FLEET_CALLER = """
+import os, sys
+import mqap.island
+from mqap.instance import InstanceSpec, generate_uniform
+
+original = mqap.island.run_island
+
+def run_island(config, instance, seed, island_id=0, *args):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    return original(config, instance, seed, island_id, *args)
+
+mqap.island.run_island = run_island
+instance = generate_uniform(InstanceSpec(n=8, m=2, seed=1))
+config = mqap.island.IslandConfig(algorithm="nsga2", generations=10**6, time_budget=20)
+mqap.island.run_fleet(instance, config, [1, 2, 3])
+"""
+
+
+def test_island_children_end_with_a_killed_caller(tmp_path):
+    src = Path(mqap.island.__file__).resolve().parents[1]
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    caller = subprocess.Popen(
+        [sys.executable, "-c", _FLEET_CALLER, str(pid_dir)], env=env, stdout=subprocess.DEVNULL
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(pid_dir.iterdir())) < 3:  # the caller runs island 0
+            assert caller.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+    finally:
+        caller.kill()
+        caller.wait()
+        _wait_gone([int(p.name) for p in pid_dir.iterdir()], seconds=5.0)
 
 
 _POOL_CALLER = """
