@@ -46,7 +46,6 @@ RUN_OPTIONS = {
     "ls_secs": ("ls_secs", float),
     "population": ("population", int),
     "archive_capacity": ("archive_capacity", int),
-    "tournament_k": ("tournament_k", int),
     "parallel_trials": ("parallel_trials", int),
     "out": ("output_dir", str),
 }
@@ -161,7 +160,7 @@ def cmd_compare(args) -> int:
     if not 0 < args.alpha < 1:  # NaN too
         raise MqapError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     sets = [load_result_set(d) for d in args.result_dirs]
-    rows = compare_result_sets(sets, alpha=args.alpha)
+    rows = compare_result_sets(sets)
     if args.csv:  # before the report, so that a path that cannot be written prints none
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -175,11 +174,11 @@ def cmd_compare(args) -> int:
         for idx, (label, mean) in enumerate(zip(row.labels, row.means)):
             flag = " *" if idx == row.best_index else ""
             print(f"  {label:24s} {mean:.4f}{flag}")
-        for a, b, p, significant in row.pairwise:
+        for a, b, p in row.pairwise:
             if p is None:
                 print(f"  rank-sum {a} vs {b}: p=n/a (needs >=3 trials per side)")
                 continue
-            verdict = f"significant at {args.alpha:g}" if significant else "not significant"
+            verdict = f"significant at {args.alpha:g}" if p < args.alpha else "not significant"
             print(f"  rank-sum {a} vs {b}: p={p:.4f} ({verdict})")
     if args.csv:
         print(f"per-trial hypervolumes written to {args.csv}")
@@ -201,9 +200,10 @@ def cmd_enumerate(args) -> int:
 def cmd_gen(args) -> int:
     fields = {key: value for key in GEN_SPEC_KEYS if (value := getattr(args, key)) is not None}
     try:
-        instance = generate_uniform(InstanceSpec(**fields))
+        spec = InstanceSpec(**fields)
     except ValueError as exc:
         raise MqapError(f"invalid generator spec: {exc}") from exc
+    instance = generate_uniform(spec)
     save_instance(instance, args.out)
     print(f"wrote {instance.name} to {args.out}")
     return 0
@@ -231,7 +231,7 @@ def cmd_hv(args) -> int:
         if len(ref) != points.shape[1]:
             raise MqapError(f"--ref has {len(ref)} coordinates, the front has {points.shape[1]}")
     else:
-        (points,), _ = normalize_fronts([points])
+        (points,) = normalize_fronts([points])
         ref = reference_point(points, args.offset)
     print(f"{hypervolume(points, ref):.6f}")
     return 0

@@ -73,20 +73,15 @@ def swap_mutation(perm: list[int], pb_m: float, rng: Rng) -> list[int]:
     return random_swap(perm, rng)
 
 
-def tournament_select(fitness: Sequence, k: int, rng: Rng) -> int:
-    """Deterministic tournament: k entrants drawn with replacement, best wins.
+def tournament_select(fitness: Sequence, rng: Rng) -> int:
+    """Binary tournament: two entrants drawn with replacement, the better wins.
 
-    ``fitness[i]`` is the key of pool row i, smaller is better; a challenger
-    replaces the current winner only when its key is strictly smaller.
-    Returns the winner's row index.
+    ``fitness[i]`` is the key of pool row i, smaller is better; the second
+    entrant wins only when its key is strictly smaller.  Returns the
+    winner's row index.
     """
     if not len(fitness):
         raise ValueError("tournament pool is empty")
-    if k < 1:
-        raise ValueError("tournament size must be >= 1")
-    best = rng.randrange(len(fitness))
-    for _ in range(k - 1):
-        challenger = rng.randrange(len(fitness))
-        if fitness[challenger] < fitness[best]:
-            best = challenger
-    return best
+    first = rng.randrange(len(fitness))
+    second = rng.randrange(len(fitness))
+    return second if fitness[second] < fitness[first] else first

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,9 +142,11 @@ class InstanceSpec:
             )
         if not -1.0 <= self.correlation <= 1.0:
             raise ValueError(f"correlation must lie in [-1, 1], got {self.correlation}")
+        if self.n < 5 and self.correlation != 0.0:
+            raise ValueError(f"cannot calibrate correlation {self.correlation} with n={self.n}")
 
 
-def parse_instance(source: str | IO[str]) -> Instance:
+def parse_instance(text: str) -> Instance:
     """Parse whitespace-delimited instance text.
 
     Lines follow ``text_lines``' rule, and data converts through
@@ -152,7 +154,7 @@ def parse_instance(source: str | IO[str]) -> Instance:
     matrix and one or more n*n flow matrices (m is inferred from the
     remaining token count).
     """
-    metadata, data, _ = text_lines(source if isinstance(source, str) else source.read())
+    metadata, data, _ = text_lines(text)
     if not data:
         raise InstanceFormatError("no numeric data found")
     values = _int64_values("\n".join(data))
@@ -251,7 +253,7 @@ def write_instance(instance: Instance) -> str:
 
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as handle:
-        inst = parse_instance(handle)
+        inst = parse_instance(handle.read())
     if not inst.name:
         inst.name = Path(path).stem
     return inst
@@ -275,8 +277,6 @@ def generate_uniform(spec: InstanceSpec) -> Instance:
     uniform noise, which calibrates the empirical Pearson correlation
     against flow 1 to the requested level.
     """
-    if spec.n < 5 and spec.correlation != 0.0:
-        raise ValueError(f"cannot calibrate correlation {spec.correlation} with n={spec.n}")
     rng = random.Random(spec.seed)
     n, lo, hi = spec.n, 1, spec.max_value
     cells = _off_diagonal_cells(n)

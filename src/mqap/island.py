@@ -48,7 +48,11 @@ NSGA2 = "nsga2"
 
 @dataclass(kw_only=True)
 class IslandConfig:
-    """Settings every island of a fleet shares, named as in ``mqap run``; islands differ by seed."""
+    """Settings every island of a fleet shares; islands differ by seed.
+
+    Each is the ``mqap run`` option of the same name, except ``pb_c``,
+    ``pb_m`` and ``time_budget``: ``--pc``, ``--pm`` and ``--time-budget-secs``.
+    """
 
     algorithm: str = MEMETIC
     population: int = 20
@@ -60,7 +64,6 @@ class IslandConfig:
     pb_m: float = 0.01
     ls_secs: float = 5.0
     archive_capacity: int = 100
-    tournament_k: int = 2
 
     def __post_init__(self):
         for name, low in (
@@ -69,7 +72,6 @@ class IslandConfig:
             ("epoch", 1),
             ("migrants", 1),
             ("archive_capacity", 1),
-            ("tournament_k", 1),
         ):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -160,12 +162,12 @@ def _make_offspring(
     max_attempts = 3 * config.population
     while len(children) < config.population:
         attempts += 1
-        p1 = tournament_select(fitness, config.tournament_k, rng)
-        p2 = tournament_select(fitness, config.tournament_k, rng)
+        p1 = tournament_select(fitness, rng)
+        p2 = tournament_select(fitness, rng)
         for _ in range(5):
             if p2 != p1:
                 break
-            p2 = tournament_select(fitness, config.tournament_k, rng)
+            p2 = tournament_select(fitness, rng)
         if rng.random() < config.pb_c:
             c1, c2 = cycle_crossover(rows[p1], rows[p2])
         else:
@@ -209,7 +211,7 @@ def _select_migrants(archive: Archive, config: IslandConfig, rng: Rng) -> Rows:
     are ``rank_and_crowd``'s without its ranking.
     """
     fitness = [(0, -c) for c in front_crowding(archive.objs).tolist()]
-    rows = [tournament_select(fitness, config.tournament_k, rng) for _ in range(config.migrants)]
+    rows = [tournament_select(fitness, rng) for _ in range(config.migrants)]
     return Rows(archive.perms[rows], archive.objs[rows])
 
 

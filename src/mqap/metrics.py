@@ -29,12 +29,11 @@ class DegenerateSampleError(ValueError):
     pass
 
 
-def normalize_fronts(fronts) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def normalize_fronts(fronts) -> list[np.ndarray]:
     """Map every coordinate to [0, 1] using min/max over the union of fronts.
 
-    Returns the rescaled (k, m) arrays plus the (mins, maxs) bounds used, so
-    the same mapping can be reused.  A dimension that is constant across the
-    union maps to 0 everywhere; an empty front stays empty.
+    Returns the rescaled (k, m) arrays.  A dimension that is constant across
+    the union maps to 0 everywhere; an empty front stays empty.
     """
     arrays = [np.asarray(front, dtype=np.float64) for front in fronts]
     filled = [a for a in arrays if a.size]
@@ -45,7 +44,7 @@ def normalize_fronts(fronts) -> tuple[list[np.ndarray], tuple[np.ndarray, np.nda
     # A constant column has f - lo == 0 everywhere, and 0 / 1 is 0.
     span = np.where(hi > lo, hi - lo, 1.0)
     m = union.shape[1]
-    return [(a.reshape(-1, m) - lo) / span for a in arrays], (lo, hi)
+    return [(a.reshape(-1, m) - lo) / span for a in arrays]
 
 
 def reference_point(global_front, offset: float = 0.01) -> Point:

@@ -35,6 +35,8 @@ MANIFEST_NAME = "manifest.json"
 REFERENCE_OFFSET = 0.01
 ENUMERATION_LIMIT = 10
 ENUMERATION_CHUNK = 20000  # permutations evaluated per batch
+# island_seed's step between trials; a trial of more islands would reuse the next trial's seeds.
+ISLAND_SEED_STRIDE = 1000
 # Between a row's permutation and its objectives in the files front_text writes.
 _BAR = " | "
 _DIGITS = str.maketrans("", "", "0123456789")
@@ -59,7 +61,7 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
 
 
 def island_seed(trial_seed: int, island_id: int) -> int:
-    return trial_seed * 1000 + island_id
+    return trial_seed * ISLAND_SEED_STRIDE + island_id
 
 
 @dataclass(kw_only=True)
@@ -86,6 +88,8 @@ class ExperimentConfig(IslandConfig):
         ):
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+        if self.island_count > ISLAND_SEED_STRIDE:
+            raise ValueError(f"islands must be <= {ISLAND_SEED_STRIDE}, got {self.island_count}")
         if (self.instance_path is None) == (self.gen_spec is None):
             raise ValueError("exactly one of --instance and --gen-spec is required")
         if self.population is None:
@@ -95,10 +99,7 @@ class ExperimentConfig(IslandConfig):
     def resolve_instance(self) -> Instance:
         if self.instance_path is not None:
             return load_instance_checked(self.instance_path)
-        try:
-            return generate_uniform(self.gen_spec)
-        except ValueError as exc:
-            raise MqapError(f"cannot generate an instance: {exc}") from exc
+        return generate_uniform(self.gen_spec)
 
 
 @dataclass
@@ -323,10 +324,7 @@ class ResultSet:
     label: str
     directory: str
     instance: str
-    algorithm: str
-    islands: int
     fronts: list[np.ndarray]  # one (k, m) float64 array per trial
-    seeds: list[int]
 
 
 @dataclass
@@ -336,8 +334,8 @@ class ComparisonRow:
     means: list[float]
     per_trial: list[list[float]]
     best_index: int
-    # (label_a, label_b, p_value or None when too few trials, significant)
-    pairwise: list[tuple[str, str, float | None, bool]]
+    # (label_a, label_b, p_value or None when too few trials)
+    pairwise: list[tuple[str, str, float | None]]
 
 
 def load_result_set(directory) -> ResultSet:
@@ -351,10 +349,7 @@ def load_result_set(directory) -> ResultSet:
             label=f"{manifest['algorithm']}/{manifest['islands']}",
             directory=str(path),
             instance=manifest["instance"],
-            algorithm=manifest["algorithm"],
-            islands=manifest["islands"],
             fronts=[],
-            seeds=[rec["seed"] for rec in records],
         )
         front_paths = [path / rec["front_file"] for rec in records]
     except FileNotFoundError:
@@ -372,9 +367,7 @@ def load_result_set(directory) -> ResultSet:
     return result
 
 
-def compare_result_sets(
-    sets: list[ResultSet], alpha: float = 0.05
-) -> list[ComparisonRow]:
+def compare_result_sets(sets: list[ResultSet]) -> list[ComparisonRow]:
     """Hypervolume comparison rows, one per instance.
 
     All fronts of the same instance share normalization bounds and one
@@ -401,7 +394,7 @@ def compare_result_sets(
     rows = []
     for instance_name in sorted(by_instance):
         group = by_instance[instance_name]
-        normalized, _ = metrics.normalize_fronts([front for rs in group for front in rs.fronts])
+        normalized = metrics.normalize_fronts([front for rs in group for front in rs.fronts])
         pooled = np.concatenate(normalized)
         # Repeated points are kept: they cannot change the reference point's maxima.
         ref = metrics.reference_point(pooled[non_dominated_mask(pooled)], REFERENCE_OFFSET)
@@ -426,7 +419,7 @@ def compare_result_sets(
                     _, p = metrics.wilcoxon_rank_sum(per_trial[a], per_trial[b])
                 except metrics.DegenerateSampleError:
                     p = 1.0
-            pairwise.append((labels[a], labels[b], p, p is not None and p < alpha))
+            pairwise.append((labels[a], labels[b], p))
         rows.append(
             ComparisonRow(
                 instance=instance_name,

@@ -226,7 +226,7 @@ def tuple_normalize_fronts(fronts):
             for r in range(m)
         )
 
-    return [[scale(p) for p in front] for front in fronts], (mins, maxs)
+    return [[scale(p) for p in front] for front in fronts]
 
 
 def tuple_hypervolume(front, ref) -> float:
@@ -250,7 +250,7 @@ def tuple_compare_hypervolumes(fronts_per_set, offset: float = 0.01) -> list[lis
     flat = [
         [tuple(float(v) for v in p) for p in front] for fronts in fronts_per_set for front in fronts
     ]
-    normalized, _ = tuple_normalize_fronts(flat)
+    normalized = tuple_normalize_fronts(flat)
     pooled = pairwise_non_dominated([p for front in normalized for p in front])
     ref = tuple(max(p[r] for p in pooled) + offset for r in range(len(pooled[0])))
     per_trial, cursor = [], 0

@@ -134,7 +134,7 @@ def test_criterion_5_small_instance_optimality():
             config = IslandConfig(population=20, generations=50, ls_secs=0.5)
             result = run_island(config, inst, island_seed(trial_seed(100 + inst_seed, trial), 0))
             mine = result.archive.objs.astype(float)
-            (norm_exact, norm_mine), _ = normalize_fronts([exact, mine])
+            norm_exact, norm_mine = normalize_fronts([exact, mine])
             ref = reference_point(non_dominated(np.concatenate([norm_exact, norm_mine])))
             ratio = hypervolume(norm_mine, ref) / hypervolume(norm_exact, ref)
             if ratio >= 0.95:
@@ -332,7 +332,7 @@ def test_criterion_8_directional_comparison_reported():
         pairs = list(pool.map(paired, range(10)))
 
     all_fronts = [front for pair in pairs for front in pair]
-    normalized, _ = normalize_fronts(all_fronts)
+    normalized = normalize_fronts(all_fronts)
     ref = reference_point(non_dominated(np.concatenate(normalized)))
     hv_memetic = [hypervolume(normalized[2 * k], ref) for k in range(10)]
     hv_baseline = [hypervolume(normalized[2 * k + 1], ref) for k in range(10)]

@@ -3,14 +3,16 @@ import json
 import pkgutil
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mqap
-from mqap import Instance, MqapError, evaluate_batch, load_instance
+from mqap import Instance, InstanceSpec, MqapError, evaluate_batch, load_instance
 from mqap.cli import build_parser, main, parse_config_file, parse_gen_spec
 from mqap.runner import (
+    ISLAND_SEED_STRIDE,
     ExperimentConfig,
     default_population,
     enumerate_front,
@@ -20,6 +22,8 @@ from mqap.runner import (
 )
 
 from conftest import brute_force_non_dominated
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _run(argv):
@@ -77,6 +81,14 @@ def test_trial_seed_derivation(tmp_path):
           "--generations", 2, "--ls-secs", 0.05, "--out", out])
     manifest = json.loads((out / "manifest.json").read_text())
     assert [rec["seed"] for rec in manifest["trial_records"]] == [40, 41, 42]
+
+
+def test_islands_beyond_the_seed_stride_are_rejected():
+    # Island 1000 of trial t would take the seed of island 0 of trial t + 1.
+    spec = InstanceSpec(n=6, m=2)
+    assert ExperimentConfig(gen_spec=spec, island_count=ISLAND_SEED_STRIDE)
+    with pytest.raises(ValueError, match=r"^islands must be <= 1000, got 1001$"):
+        ExperimentConfig(gen_spec=spec, island_count=1001)
 
 
 def test_migrant_counter_arithmetic(tmp_path):
@@ -288,7 +300,6 @@ BAD_INPUTS = [
     ("enumerate-instance-not-utf8", ["enumerate", "--instance", "latin1.qap"], "latin1.qap"),
     ("migrants-over-capacity",
      ["run", "--gen-spec", "n=6,m=2", "--islands", 2, "--migrants", 500], None),
-    ("tournament-k-0", ["run", "--gen-spec", "n=6,m=2", "--tournament-k", 0], None),
     ("population-0", ["run", "--gen-spec", "n=6,m=2", "--population", 0], None),
     ("parallel-trials-0",
      ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--parallel-trials", 0], None),
@@ -401,8 +412,14 @@ def test_manifest_holds_every_resolved_setting(tmp_path):
     _run(["run", "--gen-spec", "n=6,m=2,seed=4", "--islands", 2, "--trials", 1,
           "--generations", 2, "--pc", 0.7, "--ls-secs", 0.05, "--out", out])
     manifest = json.loads((out / "manifest.json").read_text())
+    doc = (REPO / "docs" / "instance-format.md").read_text(encoding="utf-8")
+    section = doc.split("## Manifests")[1].split("\n## ")[0]
+    documented = set(re.findall(r"`([a-z][a-z0-9_]*)`", section))
     for setting in fields(ExperimentConfig):
         assert setting.name in manifest, setting.name
+        assert setting.name in documented, setting.name
+    # The section names top-level keys, trial record keys and island statistics.
+    assert documented <= set(manifest) | set(manifest["trial_records"][0]["islands"][0])
     assert manifest["islands"] == manifest["island_count"] == 2
     assert manifest["population"] == default_population(2)
     assert (manifest["pb_c"], manifest["pb_m"], manifest["ls_secs"]) == (0.7, 0.01, 0.05)

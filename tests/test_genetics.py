@@ -103,18 +103,14 @@ def _key(rank, crowding=0.0):
 
 
 def test_tournament_single_member_pool():
-    assert tournament_select([_key(3)], 2, Rng(0)) == 0
+    assert tournament_select([_key(3)], Rng(0)) == 0
 
 
 def test_tournament_better_rank_wins():
     for seed in range(20):
-        winner = tournament_select([_key(0), _key(2)], 4, Rng(seed))
-        assert winner == 0 or _drawn_only_bad(seed, 4, 2)
-
-
-def _drawn_only_bad(seed, k, pool_size):
-    rng = Rng(seed)
-    return all(rng.randrange(pool_size) == 1 for _ in range(k))
+        winner = tournament_select([_key(0), _key(2)], Rng(seed))
+        rng = Rng(seed)
+        assert winner == 0 or {rng.randrange(2), rng.randrange(2)} == {1}
 
 
 def _better(a, b):
@@ -130,19 +126,15 @@ def test_tournament_matches_replayed_draws():
     ranked = [(0, 1.0), (1, float("inf")), (1, 2.0), (2, 0.0), (0, 1.0)]
     fitness = [_key(rank, crowding) for rank, crowding in ranked]
     for seed in range(60):
-        winner = tournament_select(fitness, 3, Rng(seed))
+        winner = tournament_select(fitness, Rng(seed))
         rng = Rng(seed)
-        entrants = [rng.randrange(5) for _ in range(3)]
-        best = entrants[0]
-        for challenger in entrants[1:]:
-            if _better(ranked[challenger], ranked[best]):
-                best = challenger
-        assert winner == best
+        first, second = rng.randrange(5), rng.randrange(5)
+        assert winner == (second if _better(ranked[second], ranked[first]) else first)
 
 
 def test_tournament_empty_pool():
     with pytest.raises(ValueError):
-        tournament_select([], 2, Rng(0))
+        tournament_select([], Rng(0))
 
 
 def test_variation_params_validation():

@@ -638,7 +638,7 @@ def test_time_budget_halts_early():
 
 
 def _fleet_hv(front, bounds_fronts):
-    normalized, _ = normalize_fronts(bounds_fronts)
+    normalized = normalize_fronts(bounds_fronts)
     split = [normalized[i] for i in range(len(bounds_fronts))]
     global_front = non_dominated(np.concatenate(normalized))
     ref = reference_point(global_front)
@@ -753,9 +753,9 @@ def test_migrant_keys_are_rank_and_crowd_keys(monkeypatch):
     assert len(archive) == 6
     keys, winners = [], []
 
-    def recording_tournament(fitness, k, rng):
+    def recording_tournament(fitness, rng):
         keys.append(list(fitness))
-        winners.append(tournament_select(fitness, k, rng))
+        winners.append(tournament_select(fitness, rng))
         return winners[-1]
 
     monkeypatch.setattr(mqap.island, "tournament_select", recording_tournament)

@@ -26,18 +26,17 @@ def _rows(points: np.ndarray) -> list[tuple[float, ...]]:
 
 
 def test_normalize_single_front():
-    (front,), (mins, maxs) = normalize_fronts([[(2, 4), (4, 2)]])
+    (front,) = normalize_fronts([[(2, 4), (4, 2)]])
     assert front.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert mins.tolist() == [2, 2] and maxs.tolist() == [4, 4]
 
 
 def test_normalize_shared_bounds():
-    fronts, _ = normalize_fronts([[(0, 10)], [(10, 0)]])
+    fronts = normalize_fronts([[(0, 10)], [(10, 0)]])
     assert [f.tolist() for f in fronts] == [[[0.0, 1.0]], [[1.0, 0.0]]]
 
 
 def test_normalize_degenerate_dimension():
-    fronts, _ = normalize_fronts([[(5, 1), (5, 3)]])
+    fronts = normalize_fronts([[(5, 1), (5, 3)]])
     assert [p[0] for p in fronts[0]] == [0.0, 0.0]
     assert [p[1] for p in fronts[0]] == [0.0, 1.0]
 
@@ -276,7 +275,7 @@ def test_compare_discards_points_on_or_beyond_the_reference(tmp_path):
     # 0.5 + 0.01 == 51 / 100 in both coordinates: (51, 10) lies on it and
     # (100, 100) beyond it, and neither adds volume.
     per_set = [[[(0, 50), (50, 0), (51, 10)], [(100, 100)]], [[(50, 0), (0, 50)], [(51, 10)]]]
-    (first, _, _, _), _ = tuple_normalize_fronts([f for fronts in per_set for f in fronts])
+    first, _, _, _ = tuple_normalize_fronts([f for fronts in per_set for f in fronts])
     assert first[2][0] == 0.5 + 0.01
     row = _compare_in_files(tmp_path, per_set)
     assert row.per_trial == tuple_compare_hypervolumes(per_set)
