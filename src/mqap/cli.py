@@ -18,7 +18,7 @@ from pathlib import Path
 from . import MqapError, runner
 from .instance import InstanceFormatError, InstanceSpec, generate_uniform, save_instance
 from .island import MEMETIC, NSGA2
-from .metrics import hypervolume, normalize_fronts, reference_point
+from .metrics import REFERENCE_OFFSET, hypervolume, normalize_fronts, reference_point
 from .runner import (
     ExperimentConfig,
     compare_result_sets,
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     hv_p = sub.add_parser("hv", help="hypervolume of one front file")
     hv_p.add_argument("--front", required=True)
     hv_p.add_argument("--ref", help="comma-separated reference point (default: normalize)")
-    hv_p.add_argument("--offset", type=float, default=0.01)
+    hv_p.add_argument("--offset", type=float, default=REFERENCE_OFFSET)
     return parser
 
 

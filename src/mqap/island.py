@@ -257,9 +257,8 @@ def run_island(
         offspring = _make_offspring(instance, population.perms, fitness, config, rng)
         kept = archive.insert(*offspring)
         if config.algorithm == MEMETIC:
-            improved = dominance_based_local_search(
-                archive, config.ls_secs, instance, rng, extra=offspring.take(~kept)
-            )
+            working = Rows.concat(Rows(archive.perms, archive.objs), offspring.take(~kept))
+            improved = dominance_based_local_search(working, config.ls_secs, instance, rng)
             pool = _first_occurrences(improved)
             # The pool starts with the archive's own members: offer only the rows after them.
             archive.insert(*pool.take(slice(len(archive), None)))

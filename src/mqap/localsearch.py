@@ -3,7 +3,7 @@
 The neighborhood of a permutation is every location pair (i, j) with
 i < j, scanned in row-major order: (0,1), (0,2), ..., (n-2,n-1).
 
-The working set starts as the archive's rows plus any extra rows; its
+The working set starts as the rows the caller passes, in their order; its
 unvisited rows are drawn at random.  The first neighbor that
 Pareto-dominates the drawn row is accepted and joins the working set
 unvisited; its objective row is the drawn row's plus the swap delta, in
@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from .archive import Archive
 from .evaluation import Rows, swap_delta_matrix
 from .genetics import Rng
 from .instance import Instance
@@ -48,23 +47,19 @@ def first_dominating_swap(
 
 
 def dominance_based_local_search(
-    archive: Archive,
+    rows: Rows,
     t_max: float,
     instance: Instance,
     rng: Rng,
     clock: Clock = time.monotonic,
-    extra: Rows | tuple = ((), ()),
 ) -> Rows:
-    """Improve the archive's rows in place of the island population.
+    """Improve ``rows`` by accepting dominating swap neighbors.
 
-    Returns the working set: the archive's rows, then the ``extra`` rows
-    (typically the generation's offspring that the archive did not keep,
-    improved on the same terms), then every accepted dominating neighbor.
-    Elapsed time is checked at the loop head only, so one neighborhood scan
-    may overshoot the ``t_max``-second budget.
+    Returns the working set: ``rows`` unchanged and in order, then every
+    accepted dominating neighbor.  Elapsed time is checked at the loop head
+    only, so one neighborhood scan may overshoot the ``t_max``-second budget.
     """
-    perms = [*archive.perms, *extra[0]]
-    objs = [*archive.objs, *extra[1]]
+    perms, objs = list(rows.perms), list(rows.objs)
     start = clock()
     # Unscanned rows in working-set order: the drawn one leaves, an
     # accepted neighbour joins at the end.

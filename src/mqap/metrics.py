@@ -24,9 +24,8 @@ import numpy as np
 
 Point = tuple[float, ...]
 
-
-class DegenerateSampleError(ValueError):
-    pass
+# Added to the global front's maxima to place the reference point.
+REFERENCE_OFFSET = 0.01
 
 
 def normalize_fronts(fronts) -> list[np.ndarray]:
@@ -47,7 +46,7 @@ def normalize_fronts(fronts) -> list[np.ndarray]:
     return [(a.reshape(-1, m) - lo) / span for a in arrays]
 
 
-def reference_point(global_front, offset: float = 0.01) -> Point:
+def reference_point(global_front, offset: float = REFERENCE_OFFSET) -> Point:
     """Componentwise maximum of the global front plus a small offset."""
     points = np.asarray(global_front, dtype=np.float64)
     if not points.size:
@@ -159,7 +158,8 @@ def wilcoxon_rank_sum(
     Small samples (both below 10) are handled by exact enumeration of rank
     assignments; larger ones use the normal approximation with the standard
     tie correction.  ``alternative`` is ``two-sided``, ``greater`` (sample_a
-    shifted above sample_b) or ``less``.
+    shifted above sample_b) or ``less``.  A sample of all-tied observations
+    gives ``(0.0, 1.0)``.
     """
     n1, n2 = len(sample_a), len(sample_b)
     if n1 < 3 or n2 < 3:
@@ -168,7 +168,8 @@ def wilcoxon_rank_sum(
         raise ValueError(f"unknown alternative {alternative!r}")
     combined = list(sample_a) + list(sample_b)
     if len(set(combined)) == 1:
-        raise DegenerateSampleError("all observations identical; ranks carry no signal")
+        # Every rank assignment has the same sum, so both tails are 1.
+        return 0.0, 1.0
 
     # Each value's tie group spans positions [lo, hi) of the sorted sample:
     # its average 1-based rank is (lo + hi + 1) / 2, and a group of c ties

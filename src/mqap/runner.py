@@ -32,7 +32,6 @@ from .island import IslandConfig, IslandStats, _end_with_caller, run_fleet
 from .ranking import non_dominated_mask
 
 MANIFEST_NAME = "manifest.json"
-REFERENCE_OFFSET = 0.01
 ENUMERATION_LIMIT = 10
 ENUMERATION_CHUNK = 20000  # permutations evaluated per batch
 # island_seed's step between trials; a trial of more islands would reuse the next trial's seeds.
@@ -397,7 +396,7 @@ def compare_result_sets(sets: list[ResultSet]) -> list[ComparisonRow]:
         normalized = metrics.normalize_fronts([front for rs in group for front in rs.fronts])
         pooled = np.concatenate(normalized)
         # Repeated points are kept: they cannot change the reference point's maxima.
-        ref = metrics.reference_point(pooled[non_dominated_mask(pooled)], REFERENCE_OFFSET)
+        ref = metrics.reference_point(pooled[non_dominated_mask(pooled)])
 
         per_trial: list[list[float]] = []
         cursor = 0
@@ -415,10 +414,7 @@ def compare_result_sets(sets: list[ResultSet]) -> list[ComparisonRow]:
             if len(per_trial[a]) < 3 or len(per_trial[b]) < 3:
                 p = None  # rank-sum needs at least 3 trials per side
             else:
-                try:
-                    _, p = metrics.wilcoxon_rank_sum(per_trial[a], per_trial[b])
-                except metrics.DegenerateSampleError:
-                    p = 1.0
+                _, p = metrics.wilcoxon_rank_sum(per_trial[a], per_trial[b])
             pairwise.append((labels[a], labels[b], p))
         rows.append(
             ComparisonRow(

@@ -90,9 +90,13 @@ def test_criterion_3_ranking_oracle_equivalence():
 def _monte_carlo_hv(points: np.ndarray, ref: np.ndarray, samples: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     covered = np.zeros(samples, dtype=bool)
-    draw = rng.random((samples, points.shape[1])) * ref
+    # One contiguous row per objective, so each comparison reads one column.
+    columns = np.ascontiguousarray((rng.random((samples, points.shape[1])) * ref).T)
     for p in points:
-        covered |= np.all(draw >= p, axis=1)
+        inside = columns[0] >= p[0]
+        for column, bound in zip(columns[1:], p[1:]):
+            inside &= column >= bound
+        covered |= inside
     return float(covered.mean() * np.prod(ref))
 
 

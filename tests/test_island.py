@@ -715,22 +715,22 @@ def test_archive_candidates_count_every_offered_solution(n, monkeypatch):
 def test_memetic_island_does_not_offer_the_archive_its_own_members(monkeypatch):
     # The local search's working set starts with the archive's members; the
     # insert that follows the search must offer only the rows after them.
-    overlaps = []
-    search = mqap.island.dominance_based_local_search
+    overlaps, searched = [], []
+    search, insert = mqap.island.dominance_based_local_search, Archive.insert
 
-    def recording_search(archive, *args, **kwargs):
-        members = {perm.tobytes() for perm in archive.perms}
-        insert = archive.insert
+    def recording_search(rows, *args, **kwargs):
+        searched.append(rows.perms.copy())
+        return search(rows, *args, **kwargs)
 
-        def first_insert(perms, objs):
-            del archive.insert  # back to the class method
+    def recording_insert(archive, perms, objs):
+        if searched:  # the first insert after a search
+            assert np.array_equal(searched.pop()[: len(archive)], archive.perms)
+            members = {perm.tobytes() for perm in archive.perms}
             overlaps.append(len(members & {perm.tobytes() for perm in perms}))
-            return insert(perms, objs)
-
-        archive.insert = first_insert
-        return search(archive, *args, **kwargs)
+        return insert(archive, perms, objs)
 
     monkeypatch.setattr(mqap.island, "dominance_based_local_search", recording_search)
+    monkeypatch.setattr(Archive, "insert", recording_insert)
     config = _config(algorithm="memetic", generations=5, ls_secs=1e6)
     run_island(config, _instance(), SEED)
     assert overlaps == [0] * config.generations

@@ -4,7 +4,7 @@ import time
 import numpy as np
 
 import mqap.localsearch
-from mqap import Archive, Rng, dominance_based_local_search, evaluate_batch
+from mqap import Archive, Rng, Rows, dominance_based_local_search, evaluate_batch
 from mqap.localsearch import first_dominating_swap
 
 from conftest import dominates, evaluate_delta, ordered_swap_neighborhood, random_instance
@@ -84,9 +84,8 @@ def test_accepts_lowest_pair_in_scan_order(np_rng):
         if oracle is None:
             continue
         found = True
-        archive = Archive(capacity=10)
-        archive.insert([perm], evaluate_batch(inst, [perm]))
-        perms, objs = dominance_based_local_search(archive, 5.0, inst, Rng(seed))
+        rows = Rows(np.array([perm]), evaluate_batch(inst, [perm]))
+        perms, objs = dominance_based_local_search(rows, 5.0, inst, Rng(seed))
         i, j, _ = oracle
         expected_perm = perm.copy()
         expected_perm[i], expected_perm[j] = expected_perm[j], expected_perm[i]
@@ -107,19 +106,19 @@ def test_locally_optimal_solution_returned_unchanged(np_rng, monkeypatch):
         i, j, delta = step
         perm = perm.copy()
         perm[i], perm[j] = perm[j], perm[i]
-    archive = Archive(capacity=10)
-    archive.insert([perm], evaluate_batch(inst, [perm]))
+    rows = Rows(np.array([perm]), evaluate_batch(inst, [perm]))
     scanned = _record_scans(monkeypatch)
-    perms, objs = dominance_based_local_search(archive, 5.0, inst, Rng(1))
-    assert perms.tolist() == [perm.tolist()] and np.array_equal(objs, archive.objs)
+    perms, objs = dominance_based_local_search(rows, 5.0, inst, Rng(1))
+    assert perms.tolist() == [perm.tolist()] and np.array_equal(objs, rows.objs)
     assert scanned == [perm.tolist()]
 
 
 def test_tiny_budget_returns_archive_contents(np_rng):
     inst = random_instance(np_rng, 8, 2)
     archive = _filled_archive(inst, np_rng, 40, capacity=50)
+    rows = Rows(archive.perms, archive.objs)
     start = time.monotonic()
-    perms, objs = dominance_based_local_search(archive, 1e-9, inst, Rng(0))
+    perms, objs = dominance_based_local_search(rows, 1e-9, inst, Rng(0))
     assert time.monotonic() - start < 1.0
     assert np.array_equal(perms[: len(archive)], archive.perms)
     assert np.array_equal(objs[: len(archive)], archive.objs)
@@ -132,9 +131,7 @@ def test_budget_respected_with_logical_clock(np_rng, monkeypatch):
     ticks = iter(float(t) for t in itertools.count())
     clock = lambda: next(ticks)  # noqa: E731 - 1s per observation
     scanned = _record_scans(monkeypatch)
-    dominance_based_local_search(
-        archive, 5.0, inst, Rng(3), clock=clock
-    )
+    dominance_based_local_search(Rows(archive.perms, archive.objs), 5.0, inst, Rng(3), clock=clock)
     # Loop head sees elapsed 1, 2, ... so at most 5 solutions get scanned.
     assert len(scanned) <= 5
 
@@ -149,7 +146,8 @@ def test_accepted_neighbors_dominate_a_one_swap_origin(np_rng):
         assert inst.swap_operands.dtype == dtype
         archive = _filled_archive(inst, np_rng, 10, capacity=30)
         initial = len(archive)
-        perms, objs = dominance_based_local_search(archive, 5.0, inst, Rng(9))
+        rows = Rows(archive.perms, archive.objs)
+        perms, objs = dominance_based_local_search(rows, 5.0, inst, Rng(9))
         # Every returned row is exact: no float step touches an objective.
         assert perms.dtype == objs.dtype == np.int64
         assert np.array_equal(objs, evaluate_batch(inst, perms)), dtype
@@ -168,20 +166,21 @@ def test_all_members_visited_on_exhaustion(np_rng, monkeypatch):
     inst = random_instance(np_rng, 6, 2)
     archive = _filled_archive(inst, np_rng, 8, capacity=20)
     scanned = _record_scans(monkeypatch)
-    perms, _ = dominance_based_local_search(archive, 10.0, inst, Rng(2))
+    perms, _ = dominance_based_local_search(Rows(archive.perms, archive.objs), 10.0, inst, Rng(2))
     # Each row of the working set is scanned exactly once.
     assert sorted(scanned) == sorted(perms.tolist())
 
 
 def test_working_set_holds_the_offspring_the_archive_did_not_keep():
     # The island offers its offspring to the archive, then starts local
-    # search from the archive plus every offspring row that is not a member.
+    # search from the archive plus every offspring row that is not a member;
+    # the search keeps that working set in order.
     inst = random_instance(np.random.default_rng(8), 5, 2)
     perms = np.array([[0, 1, 2, 3, 4], [1, 0, 2, 3, 4]], dtype=np.int64)
     objs = np.array([[10, 30], [30, 10]], dtype=np.int64)
     archive = Archive(capacity=10)
     archive.insert(perms, objs)
-    offspring = (
+    offspring = Rows(
         np.array(
             [
                 [1, 0, 2, 3, 4],  # an archive row: rejected as a duplicate
@@ -196,9 +195,9 @@ def test_working_set_holds_the_offspring_the_archive_did_not_keep():
     )
     kept = archive.insert(*offspring)
     assert kept.tolist() == [False, True, False, False, True]
-    extra = (offspring[0][~kept], offspring[1][~kept])
+    working = Rows.concat(Rows(archive.perms, archive.objs), offspring.take(~kept))
     clock = iter([0.0, 1.0]).__next__  # the budget is spent before the first scan
-    perms, objs = dominance_based_local_search(archive, 0.5, inst, Rng(0), clock, extra)
+    perms, objs = dominance_based_local_search(working, 0.5, inst, Rng(0), clock)
     expected = [0, 1, 2, 3, 4], [1, 0, 2, 3, 4], [2, 1, 0, 3, 4], [4, 1, 2, 3, 0]
     expected += [1, 0, 2, 3, 4], [3, 1, 2, 0, 4], [3, 1, 2, 0, 4]
     assert perms.tolist() == list(expected)

@@ -8,7 +8,6 @@ import pytest
 from scipy import stats as scipy_stats
 
 from mqap import hypervolume, normalize_fronts, reference_point, wilcoxon_rank_sum
-from mqap.metrics import DegenerateSampleError
 from mqap.runner import compare_result_sets, load_result_set
 
 from conftest import (
@@ -315,8 +314,8 @@ def test_rank_sum_one_sided():
 def test_rank_sum_rejects_tiny_and_degenerate_samples():
     with pytest.raises(ValueError):
         wilcoxon_rank_sum([1, 2], [3, 4, 5])
-    with pytest.raises(DegenerateSampleError):
-        wilcoxon_rank_sum([2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
+    # A tied sample is answered, not rejected: every rank assignment has one sum.
+    assert wilcoxon_rank_sum([2.0, 2.0, 2.0], [2.0, 2.0, 2.0]) == (0.0, 1.0)
     with pytest.raises(ValueError):
         wilcoxon_rank_sum([1, 2, 3], [4, 5, 6], alternative="sideways")
 
