@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
-from pathlib import Path
 
 from . import MqapError, runner
-from .instance import InstanceFormatError, InstanceSpec, generate_uniform, save_instance
+from .instance import (
+    InstanceSpec, generate_uniform, load_instance, parse_file, save_instance, write_file
+)
 from .island import MEMETIC, NSGA2
 from .metrics import REFERENCE_OFFSET, hypervolume, normalize_fronts, reference_point
 from .runner import (
@@ -60,7 +62,7 @@ GEN_SPEC_REQUIRED = ("n", "m")
 def parse_config_file(path) -> dict:
     """Line-oriented key=value options; '#' starts a comment."""
     options = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in parse_file(path, str.splitlines):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -162,13 +164,14 @@ def cmd_compare(args) -> int:
     sets = [load_result_set(d) for d in args.result_dirs]
     rows = compare_result_sets(sets)
     if args.csv:  # before the report, so that a path that cannot be written prints none
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["instance", "label", "trial", "hypervolume"])
-            for row in rows:
-                for label, hvs in zip(row.labels, row.per_trial):
-                    for trial, value in enumerate(hvs):
-                        writer.writerow([row.instance, label, trial, f"{value:.6f}"])
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(["instance", "label", "trial", "hypervolume"])
+        for row in rows:
+            for label, hvs in zip(row.labels, row.per_trial):
+                for trial, value in enumerate(hvs):
+                    writer.writerow([row.instance, label, trial, f"{value:.6f}"])
+        write_file(args.csv, table.getvalue())
     for row in rows:
         print(f"instance {row.instance} (mean normalized hypervolume)")
         for idx, (label, mean) in enumerate(zip(row.labels, row.means)):
@@ -186,7 +189,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    instance = runner.load_instance_checked(args.instance)
+    instance = load_instance(args.instance)
     perms, objs = enumerate_front(instance)
     header = {"instance": instance.name or "unnamed", "exact": "true"}
     if args.out:
@@ -210,10 +213,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_hv(args) -> int:
-    try:
-        _, _, points = runner.read_front_file(args.front)
-    except (InstanceFormatError, UnicodeDecodeError) as exc:
-        raise MqapError(f"cannot read {args.front}: {exc}") from exc
+    _, _, points = runner.read_front_file(args.front)
     if not len(points):
         raise MqapError(f"{args.front} holds no points")
     if not math.isfinite(args.offset):

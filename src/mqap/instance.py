@@ -52,10 +52,6 @@ class SwapOperands(NamedTuple):
         return self.e.dtype
 
 
-class InstanceFormatError(MqapError, ValueError):
-    """Malformed instance or front data (text or matrices)."""
-
-
 @dataclass(eq=False)
 class Instance:
     """An assignment problem with one distance matrix and m flow matrices."""
@@ -76,16 +72,14 @@ class Instance:
         self.distances = np.ascontiguousarray(self.distances, dtype=np.int64)
         self.flows = tuple(np.ascontiguousarray(f, dtype=np.int64) for f in self.flows)
         if self.n < 2:
-            raise InstanceFormatError(f"instance size must be >= 2, got {self.n}")
+            raise MqapError(f"instance size must be >= 2, got {self.n}")
         if len(self.flows) < 1:
-            raise InstanceFormatError("instance needs at least one flow matrix")
+            raise MqapError("instance needs at least one flow matrix")
         for mat in (self.distances, *self.flows):
             if mat.shape != (self.n, self.n):
-                raise InstanceFormatError(
-                    f"matrix shape {mat.shape} does not match n={self.n}"
-                )
+                raise MqapError(f"matrix shape {mat.shape} does not match n={self.n}")
             if (mat < 0).any():
-                raise InstanceFormatError("matrix entries must be non-negative")
+                raise MqapError("matrix entries must be non-negative")
         max_d = int(self.distances.max())
         max_f = max(int(f.max()) for f in self.flows)
         # Every partial sum of a cost is a non-negative integer no larger
@@ -93,9 +87,7 @@ class Instance:
         # and a flow.
         cost_bound = self.n * self.n * max_d * max_f
         if cost_bound >= _INT64_SAFE:
-            raise InstanceFormatError(
-                "entry magnitudes too large for exact 64-bit objectives"
-            )
+            raise MqapError("entry magnitudes too large for exact 64-bit objectives")
         # Every value the swap kernel forms is an integer of magnitude at most
         # 4(n+1) * max_d * max_f (its final W + W^T), and every partial sum of
         # its product is a non-negative integer no larger than the total.
@@ -156,17 +148,17 @@ def parse_instance(text: str) -> Instance:
     """
     metadata, data, _ = text_lines(text)
     if not data:
-        raise InstanceFormatError("no numeric data found")
+        raise MqapError("no numeric data found")
     values = _int64_values("\n".join(data))
 
     n = int(values[0])
     if n < 2:
-        raise InstanceFormatError(f"instance size must be >= 2, got {n}")
+        raise MqapError(f"instance size must be >= 2, got {n}")
     body = values[1:]
     if len(body) < 2 * n * n:
-        raise InstanceFormatError(f"expected at least {2 * n * n} matrix entries, got {len(body)}")
+        raise MqapError(f"expected at least {2 * n * n} matrix entries, got {len(body)}")
     if len(body) % (n * n) != 0:
-        raise InstanceFormatError(f"{len(body)} entries do not form whole {n}x{n} matrices")
+        raise MqapError(f"{len(body)} entries do not form whole {n}x{n} matrices")
     mats = body.reshape(-1, n, n)
     name = metadata.pop("name", "")
     return Instance(
@@ -224,7 +216,7 @@ def _int64_values(data: str) -> np.ndarray:
         return np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         bad = next(tok for tok in tokens if not _is_int64(tok))
-        raise InstanceFormatError(
+        raise MqapError(
             f"invalid token {bad!r}: entries must be integers in the signed 64-bit range"
         ) from exc
 
@@ -251,17 +243,42 @@ def write_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_file(path, parse):
+    """``parse`` applied to the UTF-8 text of the file at ``path``: the one way mqap reads a file.
+
+    An ``MqapError`` from ``parse``, or bytes that are not UTF-8, become an
+    ``MqapError`` that names the file.  An ``OSError`` from opening the
+    file already names it and passes through.
+    """
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (MqapError, UnicodeDecodeError) as exc:
+        raise MqapError(f"{path}: {exc}") from exc
+
+
+def write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line ends as given: the one way mqap writes a file.
+
+    An ``OSError`` from opening the file already names it and passes
+    through; one from writing it becomes an ``MqapError`` that names it.
+    """
+    handle = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.write(text)
+    except OSError as exc:
+        raise MqapError(f"cannot write {path}: {exc}") from exc
+
+
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as handle:
-        inst = parse_instance(handle.read())
+    inst = parse_file(path, parse_instance)
     if not inst.name:
         inst.name = Path(path).stem
     return inst
 
 
 def save_instance(instance: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(write_instance(instance))
+    write_file(path, write_instance(instance))
 
 
 def _off_diagonal_cells(n: int) -> list[tuple[int, int]]:

@@ -21,12 +21,13 @@ from . import MqapError, __version__, metrics
 from .evaluation import Rows, evaluate
 from .instance import (
     Instance,
-    InstanceFormatError,
     InstanceSpec,
     _int64_values,
     generate_uniform,
     load_instance,
+    parse_file,
     text_lines,
+    write_file,
 )
 from .island import IslandConfig, IslandStats, _end_with_caller, run_fleet
 from .ranking import non_dominated_mask
@@ -39,13 +40,6 @@ ISLAND_SEED_STRIDE = 1000
 # Between a row's permutation and its objectives in the files front_text writes.
 _BAR = " | "
 _DIGITS = str.maketrans("", "", "0123456789")
-
-
-def load_instance_checked(path) -> Instance:
-    try:
-        return load_instance(path)
-    except (OSError, InstanceFormatError, UnicodeDecodeError) as exc:
-        raise MqapError(f"cannot load {path}: {exc}") from exc
 
 
 def default_population(island_count: int) -> int:
@@ -97,7 +91,7 @@ class ExperimentConfig(IslandConfig):
 
     def resolve_instance(self) -> Instance:
         if self.instance_path is not None:
-            return load_instance_checked(self.instance_path)
+            return load_instance(self.instance_path)
         return generate_uniform(self.gen_spec)
 
 
@@ -132,10 +126,7 @@ def front_text(perms: np.ndarray, objs: np.ndarray, header: dict[str, str]) -> s
 
 
 def write_front_file(path, perms: np.ndarray, objs: np.ndarray, header: dict[str, str]) -> None:
-    try:
-        Path(path).write_text(front_text(perms, objs, header), encoding="utf-8")
-    except OSError as exc:
-        raise MqapError(f"cannot write {path}: {exc}") from exc
+    write_file(path, front_text(perms, objs, header))
 
 
 def read_front_file(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
@@ -147,8 +138,7 @@ def read_front_file(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
     ``front_text`` writes is converted in one call; any other file goes
     through the per-line reader, which names the line of an error.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    return _read_canonical(text) or _read_per_line(text)
+    return parse_file(path, lambda text: _read_canonical(text) or _read_per_line(text))
 
 
 def _read_canonical(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray] | None:
@@ -177,7 +167,7 @@ def _read_canonical(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray] 
         return None
     try:
         values = _int64_values(body.replace(_BAR, " "))
-    except InstanceFormatError:
+    except MqapError:
         return None  # a value beyond int64 or a bar inside a token: the per-line reader decides
     if len(values) != k * (n + m):
         return None  # an empty token
@@ -195,25 +185,25 @@ def _read_per_line(text: str) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
     objectives = [row[2].split() for row in rows]
     for number, perm, objs in zip(numbers, perms, objectives):
         if not objs:
-            raise InstanceFormatError(f"line {number} holds no objectives")
+            raise MqapError(f"line {number} holds no objectives")
         if len(objs) != len(objectives[0]):
-            raise InstanceFormatError(
+            raise MqapError(
                 f"line {number} holds {len(objs)} objectives, the first row {len(objectives[0])}"
             )
         if len(perm) != len(perms[0]):
-            raise InstanceFormatError(
+            raise MqapError(
                 f"line {number} holds a permutation of {len(perm)}, the first row {len(perms[0])}"
             )
     texts = [" ".join(perm + objs) for perm, objs in zip(perms, objectives)]
     try:
         values = _int64_values(" ".join(texts))
-    except InstanceFormatError:
+    except MqapError:
         # Convert row by row to find the line that fails.
         for number, row in zip(numbers, texts):
             try:
                 _int64_values(row)
-            except InstanceFormatError as exc:
-                raise InstanceFormatError(f"line {number}: {exc}") from exc
+            except MqapError as exc:
+                raise MqapError(f"line {number}: {exc}") from exc
         raise
     n = len(perms[0])
     values = values.reshape(len(lines), -1)
@@ -255,10 +245,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """
     instance = config.resolve_instance()
     out_dir = Path(config.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise MqapError(f"cannot create {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     result = RunResult(instance_name=instance.name or "unnamed")
     trial = functools.partial(_run_trial, instance, config, out_dir, result.instance_name)
@@ -292,12 +279,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         **asdict(config),
         "trial_records": [asdict(rec) for rec in result.trials],
     }
-    try:
-        (out_dir / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise MqapError(f"cannot write manifest: {exc}") from exc
+    write_file(out_dir / MANIFEST_NAME, json.dumps(manifest, indent=2) + "\n")
     return result
 
 
@@ -341,8 +323,7 @@ def load_result_set(directory) -> ResultSet:
     path = Path(directory)
     manifest_path = path / MANIFEST_NAME
     try:
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = parse_file(manifest_path, json.loads)
         records = manifest["trial_records"]
         result = ResultSet(
             label=f"{manifest['algorithm']}/{manifest['islands']}",
@@ -358,10 +339,7 @@ def load_result_set(directory) -> ResultSet:
     if not front_paths:
         raise MqapError(f"{manifest_path} lists no trial records")
     for front_path in front_paths:
-        try:
-            _, _, objectives = read_front_file(front_path)
-        except (InstanceFormatError, UnicodeDecodeError) as exc:
-            raise MqapError(f"{front_path}: {exc}") from exc
+        _, _, objectives = read_front_file(front_path)
         result.fronts.append(objectives.astype(np.float64))
     return result
 

@@ -144,6 +144,8 @@ def test_config_file_with_flag_overrides(tmp_path):
     inst_path = _gen_instance(tmp_path)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
+        "# a comment line, then a blank one\n"
+        "\n"
         f"instance={inst_path}\n"
         "islands=1\n"
         "trials=2   # overridden below\n"
@@ -160,7 +162,10 @@ def test_config_file_with_flag_overrides(tmp_path):
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus=1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown config key 'bogus'"):
+        parse_config_file(cfg)
+    cfg.write_text("trials=1\nislands 2\n")
+    with pytest.raises(ValueError, match="^config line 'islands 2' is not key=value$"):
         parse_config_file(cfg)
 
 
@@ -252,6 +257,9 @@ def _write_bad_inputs(directory):
     (directory / "latin1.qap").write_bytes("! name=café\n2\n0 1\n1 0\n0 3\n2 0\n".encode("latin-1"))
     (directory / "latin1.front").write_bytes("! instance=café\n0 1 | 3 4\n".encode("latin-1"))
     (directory / "tiny.qap").write_text("2\n0 1\n1 0\n0 3\n2 0\n", encoding="utf-8")
+    # Output directories where a file the run writes is already a directory.
+    (directory / "manifest-taken" / "manifest.json").mkdir(parents=True)
+    (directory / "front-taken" / "trial_0001.front").mkdir(parents=True)
     for name, manifest in (
         ("not-json", "{trial_records"),
         ("no-records", '{"instance": "x"}'),
@@ -357,6 +365,16 @@ BAD_INPUTS = [
     ("gen-out-in-missing-dir", ["gen", "--n", 5, "--m", 2, "--out", "nodir/x.qap"], "nodir/x.qap"),
     ("compare-csv-in-missing-dir",
      ["compare", "one-trial", "one-trial", "--csv", "nodir/c.csv"], "nodir/c.csv"),
+    # /dev/full opens, then fails every write.
+    ("gen-out-full", ["gen", "--n", 5, "--m", 2, "--out", "/dev/full"], "/dev/full"),
+    ("compare-csv-full", ["compare", "one-trial", "one-trial", "--csv", "/dev/full"], "/dev/full"),
+    ("run-manifest-path-is-a-directory",
+     ["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--out", "manifest-taken"],
+     "manifest-taken/manifest.json"),
+    # Trial 1 fails in its worker process; the error comes back across the pool.
+    ("parallel-trial-front-path-is-a-directory",
+     ["run", "--gen-spec", "n=6,m=2", "--trials", 2, "--generations", 1, "--parallel-trials", 2,
+      "--out", "front-taken"], "front-taken/trial_0001.front"),
     ("hv-front-not-utf8", ["hv", "--front", "latin1.front"], "latin1.front"),
     ("compare-front-not-utf8", ["compare", "latin1-trial", "one-trial"], "trial_0000.front"),
 ]
@@ -366,6 +384,8 @@ BAD_INPUTS = [
     "argv, named", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
 )
 def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, named):
+    if "/dev/full" in argv and not Path("/dev/full").exists():
+        pytest.skip("this system has no /dev/full")
     monkeypatch.chdir(tmp_path)
     _write_bad_inputs(tmp_path)
     if argv[0] == "run" and "--out" not in argv:
@@ -376,6 +396,28 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, ar
     if named is not None:
         assert re.search(rf"(?<![\w-]){re.escape(named)}\b", err), err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--instance", "empty.qap"], "empty.qap: no numeric data found"),
+        (["enumerate", "--instance", "adir"], "[Errno 21] Is a directory: 'adir'"),
+        (["gen", "--n", 5, "--m", 2, "--out", "/dev/full"],
+         "cannot write /dev/full: [Errno 28] No space left on device"),
+        (["run", "--gen-spec", "n=6,m=2", "--trials", 1, "--generations", 1, "--out", "/dev/full"],
+         "[Errno 17] File exists: '/dev/full'"),
+    ],
+    ids=["bad-content", "cannot-open", "cannot-write", "cannot-create"],
+)
+def test_a_file_error_names_the_file_once(tmp_path, capsys, monkeypatch, argv, message):
+    if "/dev/full" in argv and not Path("/dev/full").exists():
+        pytest.skip("this system has no /dev/full")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.qap").write_text("! only a comment\n", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    assert _run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -530,10 +572,10 @@ def test_compare_rejects_fronts_with_different_objective_counts(tmp_path, capsys
 def test_read_front_file_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.front"
     path.write_text("! instance=demo\n0 1 | 3 4\n\n1 0 | 5 6 7\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 4 holds 3 objectives, the first row 2"):
+    with pytest.raises(MqapError, match="line 4 holds 3 objectives, the first row 2"):
         read_front_file(path)
     path.write_text("0 1 | 3 4\n1 0 |\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2 holds no objectives"):
+    with pytest.raises(MqapError, match="line 2 holds no objectives"):
         read_front_file(path)
 
 
@@ -564,6 +606,8 @@ def test_compare_csv_output(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "instance,label,trial,hypervolume"
     assert len(lines) == 1 + 8
+    # The csv module's line ends, written as they are.
+    assert csv_path.read_bytes().count(b"\r\n") == 1 + 8
 
 
 def test_every_documented_flag_exists():

@@ -1,6 +1,7 @@
 """Front file reading: the one-call conversion of canonical files against the per-line reader."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -33,14 +34,17 @@ def _sorted_rows(perms, objs):
 
 
 def _same_result(path, text=None):
-    """``read_front_file`` on ``path`` and the per-line reader on ``text`` agree, error or not."""
+    """``read_front_file`` on ``path`` and the per-line reader on ``text`` agree, error or not.
+
+    The file's error is the reader's, after the file's name.
+    """
     text = path.read_text(encoding="utf-8") if text is None else text
     try:
         expected = PER_LINE(text)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
+    except MqapError as exc:
+        with pytest.raises(MqapError) as raised:
             read_front_file(path)
-        assert str(raised.value) == str(exc)
+        assert str(raised.value) == f"{path}: {exc}"
         return
     header, perms, objs = read_front_file(path)
     assert header == expected[0]
@@ -109,6 +113,7 @@ VARIANTS = {
     "rows-joined": CANONICAL.replace("6\n", "6 "),
     "no-header": CANONICAL.split("! seed=3\n")[1],
     "only-header": "! instance=demo\n",
+    "only-header-no-final-newline": "! instance=demo",
     "empty": "",
     "nineteen-digits": CANONICAL.replace("| 70", "| 9223372036854775807"),
     "beyond-int64": CANONICAL.replace("| 70", "| 99999999999999999999"),
@@ -149,14 +154,16 @@ def test_rows_of_two_then_four_objectives_name_their_line(tmp_path):
     # 4 + 6 tokens over 2 rows: the total alone cannot tell this file from a valid one.
     path = tmp_path / "t.front"
     path.write_text("! instance=demo\n0 1 | 3 4\n1 0 | 5 6 7 8\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="^line 3 holds 4 objectives, the first row 2$"):
+    message = f"{path}: line 3 holds 4 objectives, the first row 2"
+    with pytest.raises(MqapError, match=f"^{re.escape(message)}$"):
         read_front_file(path)
 
 
 def test_a_second_bar_is_an_invalid_token(tmp_path):
     path = tmp_path / "t.front"
     path.write_text("0 1 | 3 4\n1 0 | 5 |\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"^line 2: invalid token '\|'"):
+    message = f"{path}: line 2: invalid token '|'"
+    with pytest.raises(MqapError, match=f"^{re.escape(message)}"):
         read_front_file(path)
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mqap import InstanceSpec, generate_uniform, parse_instance, write_instance
+from mqap import MqapError
 from mqap.instance import (
     Instance,
-    InstanceFormatError,
     _INT64_SAFE,
     _int64_values,
     text_lines,
@@ -29,27 +29,34 @@ def test_parse_comment_and_flow_inference():
 
 
 def test_parse_trailing_tokens_rejected():
-    with pytest.raises(InstanceFormatError, match="9 entries do not form whole 2x2 matrices"):
+    with pytest.raises(MqapError, match="9 entries do not form whole 2x2 matrices"):
         parse_instance("2\n0 1\n1 0\n0 3\n2 0\n5")
 
 
+@pytest.mark.parametrize("size", [0, -2])
+def test_parse_rejects_sizes_below_two(size):
+    # Without the guard, 0 would divide by zero and -2 would fail in numpy's reshape.
+    with pytest.raises(MqapError, match=f"^instance size must be >= 2, got {size}$"):
+        parse_instance(f"{size}\n0 1\n1 0\n0 3\n2 0")
+
+
 def test_parse_missing_flow_matrix_rejected():
-    with pytest.raises(InstanceFormatError, match="expected at least 8 matrix entries, got 4"):
+    with pytest.raises(MqapError, match="expected at least 8 matrix entries, got 4"):
         parse_instance("2\n0 1\n1 0")
 
 
 def test_parse_empty_input():
-    with pytest.raises(InstanceFormatError, match="no numeric data found"):
+    with pytest.raises(MqapError, match="no numeric data found"):
         parse_instance("! only a comment\n")
 
 
 def test_parse_negative_entry():
-    with pytest.raises(InstanceFormatError, match="must be non-negative"):
+    with pytest.raises(MqapError, match="must be non-negative"):
         parse_instance("2\n0 1\n1 0\n0 -3\n2 0")
 
 
 def test_parse_non_integer_token():
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(MqapError):
         parse_instance("2\n0 1\n1 x\n0 3\n2 0")
 
 
@@ -62,7 +69,7 @@ def test_parse_accepts_what_int_accepts():
 def test_parse_rows_starting_with_a_sign_are_data():
     inst = parse_instance("+2\n0 1\n+1 0\n+0 3\n2 0\n+0 5\n4 0")
     assert inst.m == 2 and inst.flows[0].tolist() == [[0, 3], [2, 0]]
-    with pytest.raises(InstanceFormatError, match="must be non-negative"):
+    with pytest.raises(MqapError, match="must be non-negative"):
         parse_instance("2\n0 1\n1 0\n0 3\n2 0\n-1 4\n-2 0")
     # A sign not followed by a digit still starts a comment.
     assert parse_instance("- note\n+ note\n" + MINIMAL).m == 1
@@ -79,7 +86,7 @@ def test_text_lines_rule():
 
 @pytest.mark.parametrize("token", ["1.5", "0x10", "99999999999999999999", "-99999999999999999999"])
 def test_parse_rejects_tokens_that_are_not_int64(token):
-    with pytest.raises(InstanceFormatError, match=re.escape(repr(token))):
+    with pytest.raises(MqapError, match=re.escape(repr(token))):
         parse_instance(f"2\n0 1\n1 0\n0 3\n2 {token}")
 
 
@@ -137,21 +144,21 @@ def test_one_call_conversion_equals_the_token_path(data):
     try:
         expected = np.array(data.split(), dtype=np.int64)
     except (ValueError, OverflowError):
-        with pytest.raises(InstanceFormatError, match="invalid token"):
+        with pytest.raises(MqapError, match="invalid token"):
             _int64_values(data)
         return
     np.testing.assert_array_equal(_int64_values(data), expected, strict=True)
 
 
 def test_instance_validation():
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(MqapError):
         Instance(n=1, distances=np.zeros((1, 1)), flows=(np.zeros((1, 1)),))
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(MqapError):
         Instance(n=3, distances=np.zeros((2, 2)), flows=(np.zeros((3, 3)),))
-    with pytest.raises(InstanceFormatError, match="must be non-negative"):
+    with pytest.raises(MqapError, match="must be non-negative"):
         Instance(n=2, distances=np.array([[0, -1], [1, 0]]), flows=(np.zeros((2, 2)),))
     huge = np.full((2, 2), 2**40)
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(MqapError):
         Instance(n=2, distances=huge, flows=(huge,))
 
 
